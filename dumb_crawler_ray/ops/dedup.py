@@ -843,6 +843,74 @@ def ngram_jaccard_pairs(sf_dir: str, threshold_num: int = 1,
 
 # ------------------------------------------- source near-dup overlap matrix
 
+def _overlap_attach(bk: pa.Table) -> pa.Table:
+    """One doc_id partition of `source_overlap_matrix`: fill each pair
+    side row (kind 1) with the source of its doc row (kind 0). A side
+    whose doc_id has no doc row raises — a sorted lookup would otherwise
+    hand it a neighbouring doc's source."""
+    empty = pa.table({"a": pa.array([], pa.int64()),
+                      "b": pa.array([], pa.int64()),
+                      "is_a": pa.array([], pa.bool_()),
+                      "source": pa.array([], pa.string())})
+    if len(bk) == 0:
+        return empty
+    kind = bk.column("kind").to_numpy()
+    if not (kind == 1).any():
+        return empty
+    ids = bk.column("doc_id").to_numpy()
+    src = np.asarray(bk.column("source").to_pylist(), dtype=object)
+    d_ids, d_src = ids[kind == 0], src[kind == 0]
+    order = np.argsort(d_ids)
+    sel = kind == 1
+    sorted_ids = d_ids[order]
+    pos = np.searchsorted(sorted_ids, ids[sel])
+    hit = pos < len(sorted_ids)
+    hit[hit] = sorted_ids[pos[hit]] == ids[sel][hit]
+    if not hit.all():
+        raise ValueError(
+            "source_overlap_matrix: pair references doc_id(s) absent from "
+            f"the corpus: {sorted(set(ids[sel][~hit].tolist()))[:5]}")
+    return pa.table({
+        "a": bk.column("a").filter(pa.array(sel)).cast(pa.int64()),
+        "b": bk.column("b").filter(pa.array(sel)).cast(pa.int64()),
+        "is_a": bk.column("is_a").filter(pa.array(sel)).cast(pa.bool_()),
+        "source": pa.array(d_src[order][pos], pa.string())})
+
+
+def _overlap_combine(bk: pa.Table) -> pa.Table:
+    """One (a, b) partition of `source_overlap_matrix`: reunite each
+    pair's two annotated sides and count unordered source pairs. Every
+    pair must arrive as exactly one side-b and one side-a row; anything
+    else raises instead of pairing sides of different pairs."""
+    empty = pa.table({"source_a": pa.array([], pa.string()),
+                      "source_b": pa.array([], pa.string()),
+                      "n_part": pa.array([], pa.int64())})
+    if len(bk) == 0:
+        return empty
+    a = bk.column("a").to_numpy()
+    b = bk.column("b").to_numpy()
+    isa = bk.column("is_a").to_numpy()
+    src = np.asarray(bk.column("source").to_pylist(), dtype=object)
+    pkey = (a << np.int64(32)) | b  # ids are <2^31 (explode guard)
+    order = np.lexsort((isa, pkey))  # per pair: side-b row, side-a row
+    pk, side_a = pkey[order], isa[order]
+    if (len(pk) % 2 or (pk[0::2] != pk[1::2]).any()
+            or side_a[0::2].any() or not side_a[1::2].all()):
+        raise ValueError(
+            "source_overlap_matrix: pair sides do not match up "
+            "(each pair needs one side-a and one side-b row)")
+    sa, sb = src[order][1::2], src[order][0::2]
+    counts: dict = {}
+    for x, y in zip(sa, sb):
+        key = (x, y) if x <= y else (y, x)
+        counts[key] = counts.get(key, 0) + 1
+    ks = sorted(counts)
+    return pa.table({
+        "source_a": pa.array([k[0] for k in ks], pa.string()),
+        "source_b": pa.array([k[1] for k in ks], pa.string()),
+        "n_part": pa.array([counts[k] for k in ks], pa.int64())})
+
+
 def source_overlap_matrix(sf_dir: str, n_partitions: int | None = None):
     """Cross-SOURCE contamination matrix: for every unordered source
     pair, how many verified MinHash near-dup pairs span it (the "how
@@ -883,51 +951,6 @@ def source_overlap_matrix(sf_dir: str, n_partitions: int | None = None):
             "source": t.column("source").cast(pa.string()),
             "kind": pa.array(np.zeros(n, np.int8), pa.int8())})
 
-    def attach(bk: pa.Table) -> pa.Table:
-        empty = pa.table({"a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "is_a": pa.array([], pa.bool_()),
-                          "source": pa.array([], pa.string())})
-        if len(bk) == 0:
-            return empty
-        kind = bk.column("kind").to_numpy()
-        if not (kind == 1).any():
-            return empty
-        ids = bk.column("doc_id").to_numpy()
-        src = np.asarray(bk.column("source").to_pylist(), dtype=object)
-        d_ids, d_src = ids[kind == 0], src[kind == 0]
-        order = np.argsort(d_ids)
-        sel = kind == 1
-        pos = np.searchsorted(d_ids[order], ids[sel])
-        return pa.table({
-            "a": bk.column("a").filter(pa.array(sel)).cast(pa.int64()),
-            "b": bk.column("b").filter(pa.array(sel)).cast(pa.int64()),
-            "is_a": bk.column("is_a").filter(pa.array(sel)).cast(pa.bool_()),
-            "source": pa.array(d_src[order][pos], pa.string())})
-
-    def combine(bk: pa.Table) -> pa.Table:
-        empty = pa.table({"source_a": pa.array([], pa.string()),
-                          "source_b": pa.array([], pa.string()),
-                          "n_part": pa.array([], pa.int64())})
-        if len(bk) == 0:
-            return empty
-        a = bk.column("a").to_numpy()
-        b = bk.column("b").to_numpy()
-        isa = bk.column("is_a").to_numpy()
-        src = np.asarray(bk.column("source").to_pylist(), dtype=object)
-        pkey = (a << np.int64(32)) | b  # ids are <2^31 (explode guard)
-        order = np.lexsort((isa, pkey))  # per pair: side-b row, side-a row
-        sa, sb = src[order][1::2], src[order][0::2]
-        counts: dict = {}
-        for x, y in zip(sa, sb):
-            key = (x, y) if x <= y else (y, x)
-            counts[key] = counts.get(key, 0) + 1
-        ks = sorted(counts)
-        return pa.table({
-            "source_a": pa.array([k[0] for k in ks], pa.string()),
-            "source_b": pa.array([k[1] for k in ks], pa.string()),
-            "n_part": pa.array([counts[k] for k in ks], pa.int64())})
-
     if n_partitions is None:
         n_partitions = _hash_partition_count()
     ctx = ray.data.DataContext.get_current()
@@ -946,10 +969,10 @@ def source_overlap_matrix(sf_dir: str, n_partitions: int | None = None):
             .union(_docs(sf_dir, ["doc_id", "source"]).map_batches(
                 doc_rows, batch_format="pyarrow", **remote_kwargs()))
             .repartition(n_partitions, keys=["doc_id"])
-            .map_batches(attach, batch_format="pyarrow",
+            .map_batches(_overlap_attach, batch_format="pyarrow",
                          batch_size=None, **remote_kwargs())
             .repartition(n_partitions, keys=["a", "b"])
-            .map_batches(combine, batch_format="pyarrow",
+            .map_batches(_overlap_combine, batch_format="pyarrow",
                          batch_size=None, **remote_kwargs())
             .materialize()
         )

@@ -1,12 +1,12 @@
-"""The BSP crawl round loop — Ray Data driver (SURVEY.md §3.4/§7).
+"""The BSP crawl round loop on Ray actors (SURVEY.md §3.4/§7).
 
 Per round r:
   1 REFILL   every frontier shard peeks its top-k in the pinned total order
              honoring the per-domain politeness cap; the driver merges,
              re-applies the cap globally (exactness for salted hot domains)
              and marks the final picks PROCESSING.
-  2 FETCH    ray.data.from_arrow(selection blocks) → map_batches(FetchWorker
-             actor pool, batch_format="pyarrow") — render/validate/extract/
+  2 FETCH    the selection is rank-sliced over a persistent FetchWorker
+             actor pool created once per run — render/validate/extract/
              tag/filter per page; page html + validated image rows stream to
              per-round parquet fragments from inside the workers.
   3 DEDUP    flatten candidates in (rank, link_idx) order → first-occurrence
@@ -21,18 +21,13 @@ candidate columns, counters. All heavy payloads stay in the workers.
 
 Scale levers (100 TB / 10^10-URL design): shard count P, scheduler batch
 k, fetch actor pool size, per-domain cap; the by-domain partitioning key is
-reused for politeness, robots caching, the seen-set AND candidate dedup so
-no stage needs a second shuffle. Candidate ingestion has two wired modes
-(`candidate_mode`, default `auto` gated on round volume): `driver` —
-flatten + dedup + route on the driver, cheap for O(k·links) rounds — and
-`dataset` — workers pre-partition their candidate tables by owning shard
-into the object store and each shard ingests its refs directly
-(`FrontierShardState.ingest_candidate_refs`), so on a multi-node cluster
-discovered links go worker → store → shard without touching the driver
-NIC; the driver sees only counter deltas and compact hash64 arrays for
-its global bloom. Both modes are conformance-tested against the oracle.
-(The ops-layer ``dedup_candidates_dataset`` keeps the explicit
-groupby-shuffle form of the same merge for dataset pipelines.)
+reused for politeness, robots caching and the seen-set, so no stage needs
+a shuffle. Candidates take one path: workers precompute hash64 + owning
+shard, the driver flattens them in pinned order, dedups first-occurrence,
+probes its bloom and routes each shard its slice (`_insert_candidates` →
+`FrontierShardState.insert_candidates`). A worker → object store → shard
+route that kept candidates off the driver was measured slower at every
+scale tried (BENCH/STRESS.md) and removed.
 """
 
 from __future__ import annotations
@@ -85,16 +80,13 @@ class CrawlPipeline:
         scale: int = 1,
         n_shards: int = 4,
         ckpt_dir: str | None = None,
-        fetch_concurrency=2,
-        fetch_batch_size: int | None = None,
+        fetch_concurrency: int = 2,
         hot_domains=None,
         resume: bool = False,
         fetch_delay_s: float = 0.0,
-        fetch_mode: str = "actors",
         fetch_threads: int = 1,
         stop_flag_path: str | None = None,
         result_lists: bool = True,
-        candidate_mode: str | None = None,
     ):
         self.fixture_dir = str(fixture_dir)
         self.cfg = config if isinstance(config, JobConfig) else JobConfig(config)
@@ -103,7 +95,6 @@ class CrawlPipeline:
         self.n_shards = n_shards
         self.ckpt_dir = str(ckpt_dir) if ckpt_dir else None
         self.fetch_concurrency = fetch_concurrency
-        self.fetch_batch_size = fetch_batch_size
         self.fetch_delay_s = fetch_delay_s
         self.fetch_threads = fetch_threads
         self.hot_domains = frozenset(
@@ -124,7 +115,6 @@ class CrawlPipeline:
         self.stored_images: list[str] = []
         self.round = 0
         self.resume = resume
-        self.fetch_mode = fetch_mode
         # external stop request (reference stopCrawling semantics,
         # J/DumbCrawler.java:252-265): when this file appears, finish the
         # in-flight round, commit the checkpoint, and exit gracefully —
@@ -138,20 +128,6 @@ class CrawlPipeline:
         self._n_fetched = 0
         self._round_wall_ms = 0
         self.bloom = BloomFilter(capacity=max(1 << 14, 64 * 40 * scale), fpp=0.01)
-        # candidate ingestion mode (verdict r3 #2): 'driver' = flatten +
-        # dedup + route on the driver (cheap for O(k·links) rounds);
-        # 'dataset' = candidates never cross the driver — workers ray.put
-        # flat candidate tables, a keyed repartition dedups them, and the
-        # blocks ingest straight into the owning shards (only hash64s +
-        # per-shard counter deltas return). 'auto' switches to the dataset
-        # path when the previous round's candidate volume crosses the
-        # threshold — round size IS the scale axis on a multi-node run.
-        self.cand_mode = (candidate_mode
-                          or os.environ.get("DCR_CAND_MODE", "auto"))
-        self.cand_threshold = int(
-            os.environ.get("DCR_CAND_DATASET_THRESHOLD", "50000"))
-        self._last_cand_n = 0
-        self._round_cand_refs: dict | None = None
         # domain → absolute wall-clock time the NEXT fetch of that domain
         # may start (politeness schedule; see _select) — only domains with
         # a nonzero delay appear, pruned each round
@@ -271,45 +247,6 @@ class CrawlPipeline:
             lin["exact_probes"] += delta["exact_probes"]
         self.bloom.add_many(h64)
         self._ckpt_frontier_inserts(cand)
-
-    def _insert_candidates_dataset(self, refs_by_shard: dict):
-        """The dataset-shaped candidate round (verdict r3 #2): discovered
-        links never funnel through the driver.
-
-          workers ray.put per-shard candidate tables   zero-copy plasma
-          → shard.ingest_candidate_refs(chunk refs)    the keyed exchange
-            (worker→store→owning shard, in rank order) IS the routing
-          → shard-local pinned dedup + live insert     partition key ==
-                                                       dedup key
-          → deltas + deduped hash64 arrays return      O(candidates) ints
-
-        The url_hash→shard routing is the round's hash partitioning, so
-        the global first-occurrence-wins dedup decomposes exactly into
-        shard-local scans — no extra shuffle stage exists to pay for (an
-        earlier draft ran repartition(keys=[url_hash]) per round; the
-        per-execution shuffle setup dwarfed the work at every realistic
-        round size). The driver touches refs, counter deltas, and the
-        compact hash64 arrays for its global bloom (the one
-        intentionally-global structure — north rule). Insert fragments
-        land as round=NNNNNN/part-s*.parquet from inside the shards
-        (ckptio reads both layouts on restore)."""
-        import ray
-
-        pend = [(sid, self.shards[sid].ingest_candidate_refs.remote(
-                    chunk_refs, self.round, self.ckpt_dir))
-                for sid, chunk_refs in sorted(refs_by_shard.items())
-                if chunk_refs]
-        for (sid, _), delta in zip(pend, ray.get([r for _, r in pend])):
-            self.counters["DISCOVERED_URLS"] += delta["discovered"]
-            self.counters["ROBOTS_DENIED_URLS"] += delta["robots_denied"]
-            self.stats["SEEN_EXACT_PROBES"] += delta["exact_probes"]
-            lin = self._lineage(sid)
-            lin["candidates_in"] += delta["n_in"]
-            lin["discovered"] += delta["discovered"]
-            lin["robots_denied"] += delta["robots_denied"]
-            lin["exact_probes"] += delta["exact_probes"]
-            if len(delta["h64"]):
-                self.bloom.add_many(np.asarray(delta["h64"], dtype=np.int64))
 
     def inject_seeds(self):
         seeds = self.cfg.seeds
@@ -460,98 +397,30 @@ class CrawlPipeline:
             "hot_domains": self.hot_domains,
         }
 
+    def _start_fetch_pool(self):
+        """The FetchWorker actor pool, created once per run: the BSP
+        round loop re-dispatches Arrow slices to it every round, so the
+        per-actor setup (web index, compiled config) is paid once per
+        crawl, not once per round."""
+        import ray
+
+        Actor = ray.remote(FetchWorker).options(**remote_kwargs())
+        self._fetch_pool = [Actor.remote(**self._worker_kwargs())
+                            for _ in range(self.fetch_concurrency)]
+
     def _fetch(self, selection: pa.Table) -> pa.Table:
-        """Two equivalent executions of the same FetchWorker stage:
-
-        - ``actors`` (default): a PERSISTENT actor pool created once at
-          pipeline start — the BSP round loop re-dispatches Arrow slices to
-          it every round, so the per-actor setup (web index, compiled
-          config) is paid once per crawl, not once per round. This is the
-          raw-actor escape hatch the Dataset API can't express (state that
-          must outlive a Dataset execution).
-        - ``ray_data``: ``ray.data.from_arrow → map_batches(FetchWorker,
-          batch_format="pyarrow", concurrency=N)`` — the idiomatic form;
-          right when rounds are large (production: one round streams
-          millions of URLs, actor startup amortizes to nothing).
-
-        Both produce identical results (covered by conformance tests).
-        """
-        if self.fetch_mode == "actors":
-            result = self._fetch_via_pool(selection)
-        else:
-            result = self._fetch_via_ray_data(selection)
-        return result.sort_by("rank")
-
-    def _fetch_via_ray_data(self, selection: pa.Table) -> pa.Table:
+        """Rank-slice the selection over the fetch pool (two chunks per
+        actor) and return the per-URL outcomes in rank order."""
         import ray
 
-        conc = self.fetch_concurrency
-        n_conc = conc if isinstance(conc, int) else conc[1]
-        n_blocks = min(len(selection), max(1, n_conc * 2))
-        step = -(-len(selection) // n_blocks)
-        blocks = [selection.slice(i, step) for i in range(0, len(selection), step)]
-        ds = ray.data.from_arrow(blocks)
-        out = ds.map_batches(
-            FetchWorker,
-            batch_format="pyarrow",
-            batch_size=self.fetch_batch_size or step,
-            concurrency=conc,
-            fn_constructor_kwargs=self._worker_kwargs(),
-            **remote_kwargs(),
-        )
-        tables = [pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch) else b
-                  for b in out.iter_batches(batch_format="pyarrow", batch_size=None)]
-        return pa.concat_tables(tables)
-
-    def _ensure_fetch_pool(self):
-        import ray
-
-        if self._fetch_pool is None and self.fetch_mode == "actors":
-            conc = self.fetch_concurrency
-            n = conc if isinstance(conc, int) else conc[1]
-            Actor = ray.remote(FetchWorker).options(**remote_kwargs())
-            self._fetch_pool = [Actor.remote(**self._worker_kwargs()) for _ in range(n)]
-
-    def _dataset_cands_this_round(self) -> bool:
-        """Decide the candidate path BEFORE dispatching fetch (workers
-        must know whether to strip + ray.put their candidates). 'auto'
-        gates on the PREVIOUS round's candidate volume — the only driver-
-        visible proxy that needs no extra pass."""
-        if self.fetch_mode != "actors":
-            return False
-        if self.cand_mode == "dataset":
-            return True
-        if self.cand_mode == "driver":
-            return False
-        return self._last_cand_n >= self.cand_threshold
-
-    def _fetch_via_pool(self, selection: pa.Table) -> pa.Table:
-        import ray
-
-        self._ensure_fetch_pool()
         pool = self._fetch_pool
-        use_ds = self._dataset_cands_this_round()
         n_chunks = min(len(selection), len(pool) * 2) or 1
         step = -(-len(selection) // n_chunks)
         refs = [
-            pool[j % len(pool)].__call__.remote(selection.slice(i, step),
-                                                use_ds)
+            pool[j % len(pool)].__call__.remote(selection.slice(i, step))
             for j, i in enumerate(range(0, len(selection), step))
         ]
-        outs = ray.get(refs)
-        if use_ds:
-            # chunk order IS the pinned candidate order: collect each
-            # shard's refs across chunks in that order; the tables stay
-            # in the object store until the owning shard ingests them
-            by_shard: dict[int, list] = {}
-            for _, chunk_refs, _ in outs:
-                for sid, r in chunk_refs.items():
-                    by_shard.setdefault(sid, []).append(r)
-            self._round_cand_refs = by_shard
-            self._last_cand_n = sum(nc for _, _, nc in outs)
-            return pa.concat_tables([t for t, _, _ in outs])
-        self._round_cand_refs = None
-        return pa.concat_tables(outs)
+        return pa.concat_tables(ray.get(refs)).sort_by("rank")
 
     def _harvest(self, result: pa.Table):
         """Apply fetch outcomes in rank order: counters, storage bookkeeping,
@@ -653,15 +522,6 @@ class CrawlPipeline:
                 refs.append(self.shards[sid].complete.remote(completes[sid]))
             ray.get(refs)
         self._ckpt_updates(completes, order_rows)
-        if self._round_cand_refs is not None:
-            # dataset candidate path: candidates are already in the object
-            # store as flat per-chunk tables; non-http were filtered (and
-            # counted) worker-side
-            self.counters["IGNORED_URLS"] += int(
-                pc.sum(result.column("n_cand_nonhttp")).as_py() or 0)
-            self._insert_candidates_dataset(self._round_cand_refs)
-            self._round_cand_refs = None
-            return
         # candidates: empty lists on skipped/failed rows make flatten-all
         # exactly the success candidates in pinned order
         cand = pa.table(
@@ -677,7 +537,6 @@ class CrawlPipeline:
                 "shard": pc.list_flatten(result.column("cand_shard")),
             }
         )
-        self._last_cand_n = len(cand)
         if len(cand):
             self._insert_candidates(cand)
 
@@ -949,7 +808,7 @@ class CrawlPipeline:
         import ray
 
         self._start_shards()
-        self._ensure_fetch_pool()  # overlap actor startup with the ramp rounds
+        self._start_fetch_pool()  # overlap actor startup with the restore/seed phase
         restored = False
         if self.resume and self.ckpt_dir:
             restored = self._ckpt_restore()

@@ -44,13 +44,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="path checked between rounds: when the file "
                          "appears, finish in-flight work, commit, exit "
                          "(reference stopCrawling semantics)")
-    ap.add_argument("--candidate-mode", default=None,
-                    choices=["auto", "driver", "dataset"],
-                    help="discovered-link ingestion: 'driver' flattens on "
-                         "the driver (small rounds), 'dataset' routes "
-                         "worker→object store→owning shard so links never "
-                         "cross the driver, 'auto' (default) gates on "
-                         "round volume")
     ap.add_argument("--no-result-lists", action="store_true",
                     help="production scale: keep NO per-URL driver state "
                          "(crawl order / stored lists live only in the "
@@ -79,7 +72,6 @@ def main(argv: list[str] | None = None) -> int:
         n_shards=args.shards, ckpt_dir=args.ckpt, resume=args.resume,
         fetch_concurrency=conc, fetch_delay_s=args.rtt_ms / 1000.0,
         fetch_threads=args.fetch_threads, stop_flag_path=args.stop_flag,
-        candidate_mode=args.candidate_mode,
         result_lists=not args.no_result_lists,
     ).run(max_rounds=args.max_rounds)
     wall = time.time() - t0

@@ -1,8 +1,9 @@
-"""Fetch + parse + tag + validate — the actor-pool `map_batches` stage.
+"""Fetch + parse + tag + validate — the crawl's fetch actor stage.
 
-One FetchWorker instance per actor; construction loads the synthetic web
-(the sandbox "network", SURVEY.md S3) and compiles every config-derived
-operator ONCE (`__init__`), then `__call__` processes Arrow batches:
+One FetchWorker instance per actor of the pipeline's persistent fetch pool;
+construction loads the synthetic web (the sandbox "network", SURVEY.md S3)
+and compiles every config-derived operator ONCE (`__init__`), then
+`__call__` processes Arrow batches:
 
   input  rows: rank, url_hash, url, attempt, priority
   output rows: rank, url_hash, url, attempt, schedule_allowed, error,
@@ -141,8 +142,7 @@ class FetchWorker:
                  hot_domains: frozenset = frozenset()):
         # n_shards/hot_domains: frontier routing — workers precompute each
         # candidate's hash64 + owning shard (vectorized, in parallel) so
-        # the driver's serial insert path never rehashes or re-routes; the
-        # dataset candidate path additionally pre-partitions by shard
+        # the driver's serial insert path never rehashes or re-routes
         self.n_shards = max(1, int(n_shards))
         self.hot_domains = hot_domains
         self.cfg = JobConfig(config_raw)
@@ -284,17 +284,10 @@ class FetchWorker:
                     out[iid] = {c: col[i].as_py() for c, col in cols.items()}
         return out
 
-    def __call__(self, batch: pa.Table, return_cand_ref: bool = False):
-        """Process one selection slice. Default: one Arrow table with the
-        per-page candidate lists inline (driver-side candidate path).
-        With ``return_cand_ref=True`` (the dataset candidate path for
-        large rounds): candidates leave as FLAT (url, url_hash, domain,
-        tags, priority, rank, link_idx) tables `ray.put` into the object
-        store, PRE-PARTITIONED by owning frontier shard — they never
-        cross the driver — and the return value is (control_table,
-        {shard_id: ref}, n_candidates); non-http candidates are filtered
-        here with per-page counts so the driver counts IGNORED_URLS
-        without seeing them."""
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        """Process one selection slice: one Arrow table with the per-page
+        candidate lists inline, each candidate carrying its precomputed
+        hash64 and owning frontier shard."""
         urls = batch.column("url").to_pylist()
         ranks = batch.column("rank").to_pylist()
         hashes = batch.column("url_hash").to_pylist()
@@ -477,48 +470,7 @@ class FetchWorker:
             sum(1 for r in image_rows if r["rank"] == ranks[i] and r["validation_error"])
             for i in range(n)
         ]
-        if not return_cand_ref:
-            return _to_arrow(out)
-        import ray
-
-        # reuse pass 2's hash64 + shard routing (computed ONCE per kept
-        # candidate — no second shard_of_batch here, no rehash shard-side)
-        c = {"url": [], "url_hash": [], "domain": [], "tags": [],
-             "priority": [], "rank": [], "link_idx": [], "hash64": [],
-             "shard": []}
-        n_nonhttp = [0] * n
-        for i in range(n):
-            for j, u in enumerate(out["cand_url"][i]):
-                if not u.startswith("http"):
-                    n_nonhttp[i] += 1
-                    continue
-                c["url"].append(u)
-                c["url_hash"].append(out["cand_hash"][i][j])
-                c["domain"].append(out["cand_domain"][i][j])
-                c["tags"].append(out["cand_tags"][i][j])
-                c["priority"].append(int(out["cand_priority"][i][j]))
-                c["rank"].append(ranks[i])
-                c["link_idx"].append(j)
-                c["hash64"].append(int(out["cand_h64"][i][j]))
-                c["shard"].append(int(out["cand_shard"][i][j]))
-        n_cand = len(c["url"]) + sum(n_nonhttp)
-        refs: dict[int, object] = {}
-        if c["url"]:
-            cand = pa.table(
-                {"url": pa.array(c["url"], pa.string()),
-                 "url_hash": pa.array(c["url_hash"], pa.string()),
-                 "domain": pa.array(c["domain"], pa.string()),
-                 "tags": pa.array(c["tags"], pa.list_(pa.string())),
-                 "priority": pa.array(c["priority"], pa.int64()),
-                 "rank": pa.array(c["rank"], pa.int64()),
-                 "link_idx": pa.array(c["link_idx"], pa.int64()),
-                 "hash64": pa.array(c["hash64"], pa.int64())})
-            sids = np.asarray(c["shard"], dtype=np.int64)
-            for sid in np.unique(sids):
-                idx = np.flatnonzero(sids == sid)
-                refs[int(sid)] = ray.put(cand.take(pa.array(idx)))
-        return _to_arrow(out, include_cand=False,
-                         n_cand_nonhttp=n_nonhttp), refs, n_cand
+        return _to_arrow(out)
 
     def _pace(self, domain: str, delay_s: float | None = None) -> None:
         """Min wall-clock delay between fetches of one domain (config
@@ -584,9 +536,8 @@ class FetchWorker:
             )
 
 
-def _to_arrow(out: dict, include_cand: bool = True,
-              n_cand_nonhttp=None) -> pa.Table:
-    cols = {
+def _to_arrow(out: dict) -> pa.Table:
+    return pa.table({
         "rank": pa.array(out["rank"], pa.int64()),
         "url_hash": pa.array(out["url_hash"], pa.string()),
         "url": pa.array(out["url"], pa.string()),
@@ -601,17 +552,11 @@ def _to_arrow(out: dict, include_cand: bool = True,
         "too_many_links": pa.array(out["too_many_links"], pa.bool_()),
         "n_links_allowed": pa.array(out["n_links_allowed"], pa.int64()),
         "n_links_ignored": pa.array(out["n_links_ignored"], pa.int64()),
-    }
-    if include_cand:
-        cols.update({
-            "cand_url": pa.array(out["cand_url"], pa.list_(pa.string())),
-            "cand_hash": pa.array(out["cand_hash"], pa.list_(pa.string())),
-            "cand_domain": pa.array(out["cand_domain"], pa.list_(pa.string())),
-            "cand_tags": pa.array(out["cand_tags"], pa.list_(pa.list_(pa.string()))),
-            "cand_priority": pa.array(out["cand_priority"], pa.list_(pa.int64())),
-            "cand_h64": pa.array(out["cand_h64"], pa.list_(pa.int64())),
-            "cand_shard": pa.array(out["cand_shard"], pa.list_(pa.int64())),
-        })
-    if n_cand_nonhttp is not None:
-        cols["n_cand_nonhttp"] = pa.array(n_cand_nonhttp, pa.int64())
-    return pa.table(cols)
+        "cand_url": pa.array(out["cand_url"], pa.list_(pa.string())),
+        "cand_hash": pa.array(out["cand_hash"], pa.list_(pa.string())),
+        "cand_domain": pa.array(out["cand_domain"], pa.list_(pa.string())),
+        "cand_tags": pa.array(out["cand_tags"], pa.list_(pa.list_(pa.string()))),
+        "cand_priority": pa.array(out["cand_priority"], pa.list_(pa.int64())),
+        "cand_h64": pa.array(out["cand_h64"], pa.list_(pa.int64())),
+        "cand_shard": pa.array(out["cand_shard"], pa.list_(pa.int64())),
+    })

@@ -1,7 +1,8 @@
 """Global URL-seen bloom filter — vectorized over int64 hash batches.
 
-North-rule component (BASELINE.json): a small, broadcastable snapshot that
-pre-filters candidate membership before the exact per-partition check. A
+North-rule component (BASELINE.json): the driver probes it to pre-filter
+candidate membership before the exact per-partition check, and ships each
+shard only the per-row verdicts with its candidate slice. A
 bloom NEGATIVE is authoritative ("definitely never seen") and lets the
 frontier shard insert without probing its exact key store — at 10^10-URL
 scale that probe is a disk/LSM lookup, so the bloom's job is to keep the
@@ -9,8 +10,9 @@ common new-URL path cheap. POSITIVES are always re-checked exactly (by the
 shard's cuckoo filter + key store), so the false-positive rate costs only
 extra probes, never correctness (SURVEY.md §7 hard part d).
 
-Sizing: ~1.2 GB of bits covers 1e10 keys at 1% fpp; snapshots are
-`ray.put` once per round and read zero-copy by every routing task.
+Sizing: ~1.2 GB of bits covers 1e10 keys at 1% fpp. The filter lives on
+the driver and is not checkpointed: a resume rebuilds it from each
+shard's `record_hash64()`.
 """
 
 from __future__ import annotations
@@ -71,21 +73,3 @@ class BloomFilter:
         idx = self._probes(np.asarray(h64))
         present = (self.words[idx >> np.uint64(6)] >> (idx & np.uint64(63))) & np.uint64(1)
         return present.all(axis=0)
-
-    # -------- snapshot lifecycle (broadcast per round / checkpointed) ----
-
-    def snapshot(self) -> dict:
-        return {
-            "n_bits": self.n_bits, "k": self.k, "capacity": self.capacity,
-            "count": self.count, "words": self.words.copy(),
-        }
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "BloomFilter":
-        b = cls.__new__(cls)
-        b.n_bits = int(snap["n_bits"])
-        b.k = int(snap["k"])
-        b.capacity = int(snap["capacity"])
-        b.count = int(snap["count"])
-        b.words = np.asarray(snap["words"], dtype=np.uint64).copy()
-        return b

@@ -88,21 +88,3 @@ class CuckooFilter:
             ov = np.fromiter((int(x) in self.overflow for x in arr), bool, len(arr))
             hit |= ov
         return hit
-
-    def snapshot(self) -> dict:
-        return {
-            "n_buckets": self.n_buckets,
-            "table": self.table.copy(),
-            "overflow": list(self.overflow),
-            "count": self.count,
-        }
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "CuckooFilter":
-        c = cls.__new__(cls)
-        c.n_buckets = int(snap["n_buckets"])
-        c.table = np.asarray(snap["table"], dtype=np.uint16).copy()
-        c.overflow = set(snap["overflow"])
-        c.count = int(snap["count"])
-        c._rng = np.random.default_rng(7)
-        return c

@@ -19,19 +19,19 @@ exact seen-record lives on the shard of ITS OWN domain, so a config whose
 ``idExtractorPattern`` can extract the SAME id from urls on DIFFERENT
 domains treats them as distinct frontier entries (the reference's single
 global SQLite store would merge them; the driver-global bloom still
-pre-filters most re-offers). This applies identically to both candidate
-modes across rounds, and to the dataset mode within a round; configs
-whose id space is domain-unique (every fixture here, and any sane
-idExtractorPattern that keys on path ids scoped per site) are unaffected.
+pre-filters most re-offers). Configs whose id space is domain-unique
+(every fixture here, and any sane idExtractorPattern that keys on path
+ids scoped per site) are unaffected.
 Merging cross-domain identities exactly would force hash-keyed sharding,
-losing the domain co-location that politeness, robots and the candidate
-exchange are all built on.
+losing the domain co-location that politeness, robots and candidate
+routing are all built on.
 
 Scale note: at 10^10 URLs the in-memory record dict becomes a Lance/parquet
 key-range store per shard; the probe order (bloom → cuckoo → exact) is
 designed so that store is only consulted on cuckoo positives. Actors are
-soft state — `snapshot()`/`from_snapshot()` rebuild them from the
-checkpoint, mirroring the reference's orphan-reset resume
+soft state — `restore_from_ckpt` rebuilds a shard by replaying its
+partition of the checkpoint's per-round deltas, then requeues PROCESSING
+orphans, mirroring the reference's orphan-reset resume
 (URLStore.java:54-58).
 """
 
@@ -46,7 +46,7 @@ from ..pipelines import semantics as S
 from .cuckoo import CuckooFilter
 
 # record tuple indexes
-R_URL, R_DOMAIN, R_TAGS, R_PRIORITY, R_STATUS, R_ATTEMPT, R_ERROR, R_SEQ = range(8)
+R_URL, R_DOMAIN, R_TAGS, R_PRIORITY, R_STATUS, R_ATTEMPT, R_ERROR = range(7)
 
 
 def shard_of(domain: str, url_hash: str, n_shards: int, hot_domains: frozenset) -> int:
@@ -118,7 +118,6 @@ class FrontierShardState:
         # unreachable robots): served from cache until then, re-consulted
         # after, and never persisted as crawl state
         self._robots_expiry: dict[str, float] = {}
-        self._seq = 0
         # distributed stored-membership (SURVEY.md ST4 / verdict r3 #1):
         # NEW-vs-UPDATED page and SAVED-vs-DUP image decisions live on the
         # shards, not the driver — the driver handles O(round) bools per
@@ -233,9 +232,8 @@ class FrontierShardState:
                     continue  # true positive → already seen
             rec = [
                 rows["url"][i], rows["domain"][i], list(rows["tags"][i]),
-                int(rows["priority"][i]), S.QUEUED, 0, None, self._seq,
+                int(rows["priority"][i]), S.QUEUED, 0, None,
             ]
-            self._seq += 1
             if self.respect_robots and S.robots_denied(
                     rec[R_URL], self._robots(rec[R_DOMAIN], rec[R_URL])):
                 rec[R_STATUS] = S.FAILED
@@ -255,54 +253,6 @@ class FrontierShardState:
             "robots_denied": robots_denied,
             "exact_probes": exact_probes,
         }
-
-    def ingest_candidate_refs(self, refs: list, rnd: int,
-                              ckpt_dir: str | None) -> dict:
-        """Dataset candidate path: ingest THIS shard's partition of a
-        round's discovered links straight from the object store (one
-        zero-copy ref per fetch chunk, in rank order — candidates never
-        cross the driver).
-
-        The partition key (url_hash → owning shard) IS the dedup key, so
-        the round's global pinned first-occurrence-wins dedup is exactly
-        a shard-local first-occurrence scan over the concatenated chunks
-        (chunk order = rank order, within-chunk order = link order). The
-        deduped rows are written as this shard's insert-delta part file
-        (the part-directory checkpoint layout) and inserted through the
-        live path. Returns the usual counter deltas plus n_in and the
-        deduped hash64 array for the driver's global bloom."""
-        import os
-        import uuid
-
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        import ray
-
-        from ..functions.urlhash import hash64_batch
-
-        t = pa.concat_tables(ray.get(list(refs)))
-        hashes = np.asarray(t.column("url_hash").to_pylist(), dtype=object)
-        # first occurrence per url_hash in pinned order
-        _, first_idx = np.unique(hashes, return_index=True)
-        if len(first_idx) < len(hashes):
-            keep = np.sort(first_idx)
-            t = t.take(pa.array(keep))
-            hashes = hashes[keep]
-        if "hash64" in t.column_names:  # worker-precomputed (one hash pass)
-            h64 = t.column("hash64").to_numpy()
-        else:
-            h64 = hash64_batch(hashes)
-        t = t.select(["url", "url_hash", "domain", "tags", "priority"])
-        if ckpt_dir:
-            d = os.path.join(ckpt_dir, "frontier_inserts", f"round={rnd:06d}")
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(t, os.path.join(
-                d, f"part-s{self.shard_id:03d}-{uuid.uuid4().hex[:8]}.parquet"))
-        delta = self.insert_candidates(
-            t.append_column("hash64", pa.array(h64, pa.int64())), None)
-        delta["n_in"] = len(t)
-        delta["h64"] = h64
-        return delta
 
     # ------------------------------------------------------------ select
 
@@ -434,11 +384,10 @@ class FrontierShardState:
         materializes the frontier history; every shard reads the shared
         delta files in parallel (read amplification n_shards×, the
         shared-storage trade-off for zero driver funneling) and does
-        insert/update row WORK only on its own partition; dataset-mode
-        insert parts carry the owning shard in their filename and are
-        pruned without reading when the shard count is unchanged."""
+        insert/update row WORK only on its own partition."""
         import os
-        import re
+
+        import pyarrow as pa
 
         from ..functions.urlhash import hash64_batch
         from .ckptio import read_round, round_entries
@@ -463,44 +412,10 @@ class FrontierShardState:
             if rows:
                 self.seed_robots(*(list(c) for c in zip(*rows)))
 
-        def prune_parts(path: str) -> str | list[str]:
-            """Dataset-mode part files are named part-s{shard}-*: when the
-            shard count matches the writing run, other shards' parts can
-            be skipped without reading them."""
-            if not os.path.isdir(path):
-                return path
-            keep = []
-            for name in sorted(os.listdir(path)):
-                if not name.endswith(".parquet"):
-                    continue
-                m = re.match(r"part-s(\d+)-", name)
-                if m and int(m.group(1)) != self.shard_id:
-                    continue
-                keep.append(os.path.join(path, name))
-            return keep
-
         n_rows = 0
-        same_count = True  # routing below re-checks every row anyway;
-        # filename pruning is ONLY safe when n_shards matches the writer
-        manifest_path = os.path.join(ckpt_dir, "manifest.json")
-        if os.path.exists(manifest_path):
-            import json
-
-            same_count = (json.load(open(manifest_path)).get("n_shards")
-                          == n_shards)
         for _rnd, path in round_entries(
                 os.path.join(ckpt_dir, "frontier_inserts")):
-            if same_count and os.path.isdir(path):
-                import pyarrow as pa
-
-                parts = prune_parts(path)
-                if not parts:
-                    continue
-                import pyarrow.parquet as _pq
-
-                t = pa.concat_tables([_pq.read_table(p) for p in parts])
-            else:
-                t = read_round(path)
+            t = read_round(path)
             hashes = np.asarray(t.column("url_hash").to_pylist(),
                                 dtype=object)
             sids = shard_of_batch(t.column("domain").to_pylist(), hashes,
@@ -508,8 +423,6 @@ class FrontierShardState:
             idx = np.flatnonzero(sids == self.shard_id)
             if not len(idx):
                 continue
-            import pyarrow as pa
-
             sub = t.take(pa.array(idx))
             h64 = hash64_batch(hashes[idx])
             sub = sub.append_column("hash64", pa.array(h64, pa.int64()))
@@ -574,50 +487,6 @@ class FrontierShardState:
             for h, r in self.records.items()
         }
 
-    def snapshot_rows(self) -> dict:
-        """Columnar full-state dump for checkpointing."""
-        if self.terminal:
-            raise RuntimeError(
-                "snapshot_rows() needs full rows; this shard runs "
-                "compact_terminal mode")
-        hs = list(self.records.keys())
-        recs = [self.records[h] for h in hs]
-        return {
-            "url_hash": hs,
-            "url": [r[R_URL] for r in recs],
-            "domain": [r[R_DOMAIN] for r in recs],
-            "tags": [list(r[R_TAGS]) for r in recs],
-            "priority": [int(r[R_PRIORITY]) for r in recs],
-            "status": [int(r[R_STATUS]) for r in recs],
-            "attempt": [int(r[R_ATTEMPT]) for r in recs],
-            "error": [r[R_ERROR] for r in recs],
-            "seq": [int(r[R_SEQ]) for r in recs],
-        }
-
-    @classmethod
-    def from_snapshot_rows(cls, shard_id: int, respect_robots: bool, rows: dict,
-                           seen_capacity: int = 1 << 16,
-                           robots_fetcher=None) -> "FrontierShardState":
-        st = cls(shard_id, respect_robots, seen_capacity, robots_fetcher)
-        from ..functions.urlhash import hash64_batch
-
-        n = len(rows["url_hash"])
-        for i in range(n):
-            h = rows["url_hash"][i]
-            rec = [
-                rows["url"][i], rows["domain"][i], list(rows["tags"][i]),
-                int(rows["priority"][i]), int(rows["status"][i]),
-                int(rows["attempt"][i]), rows["error"][i], int(rows["seq"][i]),
-            ]
-            st.records[h] = rec
-            if rec[R_STATUS] == S.QUEUED:
-                heapq.heappush(st.heap, (-rec[R_PRIORITY], rec[R_ATTEMPT], h))
-            st._seq = max(st._seq, rec[R_SEQ] + 1)
-        if n:
-            st.cuckoo.add_many(hash64_batch(rows["url_hash"]))
-        st.requeue_orphans()
-        return st
-
 
 def make_frontier_actor():
     """Ray actor wrapper (created lazily so the module imports without Ray)."""
@@ -627,37 +496,24 @@ def make_frontier_actor():
     class FrontierShard:
         def __init__(self, shard_id: int, respect_robots: bool,
                      seen_capacity: int = 1 << 16,
-                     robots_http_config: dict | None = None,
                      compact_terminal: bool = False,
                      robots_pool: list | None = None):
             # robots_pool: handles to the crawl's shared RobotsCacheActor
             # pool (http mode) — each domain's robots.txt is fetched from
             # the network ONCE PER CRAWL globally and every shard applies
             # the same verdict, even for hot domains salted over several
-            # shards. robots_http_config (actor-local HttpWeb, per-shard
-            # fetches) remains as the no-pool fallback for direct
-            # construction in tests.
+            # shards.
             fetcher = None
             if robots_pool is not None:
                 from ..sources.robots import PooledRobotsFetcher
 
                 fetcher = PooledRobotsFetcher(robots_pool)
-            elif robots_http_config is not None:
-                from ..config import JobConfig
-                from ..sources.httpweb import HttpWeb
-                from ..sources.robots import RobotsFetcher
-
-                fetcher = RobotsFetcher(
-                    HttpWeb.from_config(JobConfig(robots_http_config)))
             self.state = FrontierShardState(shard_id, respect_robots,
                                             seen_capacity, fetcher,
                                             compact_terminal=compact_terminal)
 
         def insert_candidates(self, rows, maybe_seen=None):
             return self.state.insert_candidates(rows, maybe_seen)
-
-        def ingest_candidate_refs(self, refs, rnd, ckpt_dir):
-            return self.state.ingest_candidate_refs(refs, rnd, ckpt_dir)
 
         def select_candidates(self, k, per_domain_cap, max_attempt):
             return self.state.select_candidates(k, per_domain_cap, max_attempt)
@@ -667,9 +523,6 @@ def make_frontier_actor():
 
         def complete(self, rows):
             return self.state.complete(rows)
-
-        def requeue_orphans(self):
-            return self.state.requeue_orphans()
 
         def note_stored(self, page_hashes, image_ids):
             return self.state.note_stored(page_hashes, image_ids)
@@ -689,14 +542,5 @@ def make_frontier_actor():
 
         def seen_entries(self):
             return self.state.seen_entries()
-
-        def snapshot_rows(self):
-            return self.state.snapshot_rows()
-
-        def restore(self, rows):
-            self.state = FrontierShardState.from_snapshot_rows(
-                self.state.shard_id, self.state.respect_robots, rows,
-                robots_fetcher=self.state.robots_fetcher,
-            )
 
     return FrontierShard

@@ -1,7 +1,6 @@
-"""Conformance: the Ray Data pipeline must reproduce the oracle EXACTLY —
+"""Conformance: the Ray pipeline must reproduce the oracle EXACTLY —
 crawl order, final seen set, counters, stored pages/images — at any
-parallelism level and in both fetch execution modes (SURVEY.md §5.2,
-BASELINE.json north_rule)."""
+parallelism level (SURVEY.md §5.2, BASELINE.json north_rule)."""
 
 import logging
 
@@ -28,6 +27,11 @@ def web8():
 
 
 @pytest.fixture(scope="module")
+def fix2(tmp_path_factory):
+    return str(write_fixture(tmp_path_factory.mktemp("fx") / "sf2", seed=42, scale=2))
+
+
+@pytest.fixture(scope="module")
 def fix4(tmp_path_factory):
     return str(write_fixture(tmp_path_factory.mktemp("fx") / "sf4", seed=42, scale=4))
 
@@ -42,10 +46,13 @@ def test_conformance_scale8_actor_pool(ray_session, fixture_dir, web8):
 
 
 def test_conformance_ray_data_mode(ray_session, fix4):
+    """The inputs of the former Ray Data fetch mode (odd shard count, a
+    4-round prefix) now run through the one pool fetch path and must
+    match the oracle stopped after the same number of rounds."""
     web = SynthWeb.generate(42, 4)
     res = CrawlPipeline(
         fix4, DEFAULT_CONFIG, seed=42, scale=4, n_shards=3,
-        fetch_concurrency=2, fetch_mode="ray_data",
+        fetch_concurrency=2,
     ).run(max_rounds=4)
     orc = oracle.simulate(DEFAULT_CONFIG, web, max_rounds=4)
     assert_match(res, orc)
@@ -60,52 +67,6 @@ def test_determinism_across_parallelism(ray_session, fix4):
             n_shards=shards, fetch_concurrency=conc,
         ).run()
         assert_match(res, orc)
-
-
-def test_conformance_dataset_candidate_path(ray_session, fix4, tmp_path):
-    """candidate_mode='dataset' (the large-round scale path): discovered
-    links go worker → object store → keyed dedup → shard ingestion and
-    never cross the driver; the crawl must still match the oracle
-    EXACTLY, the insert deltas land in the part-directory layout, and a
-    resume (through the dataset-layout replay) is exact."""
-    import os
-
-    web = SynthWeb.generate(42, 4)
-    orc = oracle.simulate(DEFAULT_CONFIG, web)
-    ckpt = tmp_path / "ckpt_dsc"
-    res = CrawlPipeline(
-        fix4, DEFAULT_CONFIG, seed=42, scale=4, n_shards=4,
-        fetch_concurrency=2, ckpt_dir=str(ckpt), candidate_mode="dataset",
-    ).run()
-    assert_match(res, orc)
-    names = os.listdir(ckpt / "frontier_inserts")
-    assert any(os.path.isdir(ckpt / "frontier_inserts" / n) for n in names)
-    res2 = CrawlPipeline(
-        fix4, DEFAULT_CONFIG, seed=42, scale=4, n_shards=3,
-        fetch_concurrency=2, ckpt_dir=str(ckpt), resume=True,
-    ).run()
-    assert res2.crawl_order == orc.crawl_order
-    assert res2.seen_set == orc.seen_set
-    assert res2.stored_pages == orc.stored_pages
-
-
-def test_dataset_candidate_path_resumes_midway(ray_session, fix4, tmp_path):
-    """Kill a dataset-mode crawl after 3 rounds; resuming (again in
-    dataset mode) completes to the exact oracle state — the round delta
-    replay reads the part-directory layout."""
-    web = SynthWeb.generate(42, 4)
-    orc = oracle.simulate(DEFAULT_CONFIG, web)
-    ckpt = tmp_path / "ckpt_dsc_mid"
-    CrawlPipeline(
-        fix4, DEFAULT_CONFIG, seed=42, scale=4, n_shards=4,
-        fetch_concurrency=2, ckpt_dir=str(ckpt), candidate_mode="dataset",
-    ).run(max_rounds=3)
-    res = CrawlPipeline(
-        fix4, DEFAULT_CONFIG, seed=42, scale=4, n_shards=4,
-        fetch_concurrency=2, ckpt_dir=str(ckpt), resume=True,
-        candidate_mode="dataset",
-    ).run()
-    assert_match(res, orc)
 
 
 def test_result_lists_off_scale_mode(ray_session, fix4):
@@ -239,41 +200,17 @@ def test_hot_domain_salting_preserves_semantics(ray_session, fix4):
     assert_match(res_unsalted, orc)
 
 
-def test_dataset_dedup_matches_local(ray_session):
-    from dumb_crawler_ray.stages.dedup import (
-        dedup_candidates_dataset,
-        dedup_candidates_local,
-    )
-
-    cand = {
-        "url": [f"https://d/{i % 7}" for i in range(50)],
-        "url_hash": [f"h{i % 7}" for i in range(50)],
-        "domain": ["d"] * 50,
-        "tags": [["t"]] * 50,
-        "priority": list(range(50)),
-        "seq": list(range(50)),
-    }
-    a = dedup_candidates_local(cand)
-    b = dedup_candidates_dataset(cand)
-    assert a == b
-    assert a["url_hash"] == [f"h{i}" for i in range(7)]
-
-
-def test_task_killer_idle_stop(ray_session, tmp_path):
+def test_task_killer_idle_stop(ray_session, fix2):
     """taskKiller intended semantics (SURVEY.md ST7): timeout 0 stops the
     crawl at the first round that stores no new page; the default (10m)
     never fires in-session."""
     import json
 
-    from dumb_crawler_ray.pipelines.crawl import CrawlPipeline
-    from dumb_crawler_ray.sources.synthweb import DEFAULT_CONFIG, write_fixture
-
-    fix = write_fixture("/tmp/dcr_fixtures/sf2", seed=42, scale=2)
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     cfg["taskKiller"] = {"timeout": "0s"}
-    res = CrawlPipeline(fix, cfg, seed=42, scale=2, n_shards=2,
+    res = CrawlPipeline(fix2, cfg, seed=42, scale=2, n_shards=2,
                         fetch_concurrency=2).run()
-    full = CrawlPipeline(fix, DEFAULT_CONFIG, seed=42, scale=2, n_shards=2,
+    full = CrawlPipeline(fix2, DEFAULT_CONFIG, seed=42, scale=2, n_shards=2,
                          fetch_concurrency=2).run()
     assert full.stop_reason == "drained"
     # the idle-stopped run ends strictly earlier than the drained run
@@ -285,7 +222,7 @@ def test_task_killer_idle_stop(ray_session, tmp_path):
     assert res.crawl_order == full.crawl_order[: len(res.crawl_order)]
 
 
-def test_proxy_renderer_dispatch(ray_session, monkeypatch):
+def test_proxy_renderer_dispatch(ray_session, fix2, monkeypatch):
     """S4/S5: tags in renderer.proxify fetch through the rewritten proxy
     URL (key from $ROCKETSCRAPE_API_KEY, validated); crawl results are
     identical to the direct fetch because the synthetic network unwraps
@@ -295,12 +232,8 @@ def test_proxy_renderer_dispatch(ray_session, monkeypatch):
     import pytest as _pytest
 
     from dumb_crawler_ray.pipelines import semantics as S
-    from dumb_crawler_ray.pipelines.crawl import CrawlPipeline
     from dumb_crawler_ray.pipelines.oracle import simulate
-    from dumb_crawler_ray.sources.synthweb import (DEFAULT_CONFIG, SynthWeb,
-                                                   write_fixture)
 
-    fix = write_fixture("/tmp/dcr_fixtures/sf2", seed=42, scale=2)
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     cfg["renderer"] = {"proxify": ["article"]}
 
@@ -321,7 +254,7 @@ def test_proxy_renderer_dispatch(ray_session, monkeypatch):
         "https://api.rocketscrape.com/?apiKey=" + "k" * 16
         + "&url=https://x.test/a?q=1"
     )
-    res = CrawlPipeline(fix, cfg, seed=42, scale=2, n_shards=2,
+    res = CrawlPipeline(fix2, cfg, seed=42, scale=2, n_shards=2,
                         fetch_concurrency=2).run()
     orc = simulate(cfg, SynthWeb.generate(42, 2))
     assert res.crawl_order == orc.crawl_order
@@ -331,23 +264,21 @@ def test_proxy_renderer_dispatch(ray_session, monkeypatch):
     assert res.crawl_order == base.crawl_order
 
 
-def test_run_cli_smoke(ray_session, tmp_path, capsys):
+def test_run_cli_smoke(ray_session, fix2, tmp_path, capsys):
     """`python -m dumb_crawler_ray.run` — the DumbCrawlerApplication.main
     analogue / ray-job-submit payload — runs a job from a config file and
     prints one JSON summary line."""
     import json
 
     from dumb_crawler_ray.run import main
-    from dumb_crawler_ray.sources.synthweb import write_fixture
 
-    fix = write_fixture("/tmp/dcr_fixtures/sf2", seed=42, scale=2)
-    rc = main(["--fixture", str(fix), "--scale", "2", "--shards", "2",
+    rc = main(["--fixture", fix2, "--scale", "2", "--shards", "2",
                "--concurrency", "2", "--ckpt", str(tmp_path / "ck")])
     assert rc == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert out["urls_fetched"] > 50 and out["stop_reason"] == "drained"
     # resume over a completed checkpoint is a no-op continuation
-    rc = main(["--fixture", str(fix), "--scale", "2", "--shards", "2",
+    rc = main(["--fixture", fix2, "--scale", "2", "--shards", "2",
                "--concurrency", "2", "--ckpt", str(tmp_path / "ck"),
                "--resume"])
     assert rc == 0
@@ -355,25 +286,21 @@ def test_run_cli_smoke(ray_session, tmp_path, capsys):
     assert out2["urls_fetched"] == out["urls_fetched"]
 
 
-def test_kitchen_sink_conformance(ray_session, monkeypatch):
+def test_kitchen_sink_conformance(ray_session, fix4, monkeypatch):
     """Every config feature at once — robots, politeness cap + delay,
     proxy dispatch, id-extractor dedup, validation, storage gate, low
     maxAttemptCount — pipeline ≡ oracle on order, seen set AND counters."""
     import json
 
-    from dumb_crawler_ray.pipelines.crawl import CrawlPipeline
     from dumb_crawler_ray.pipelines.oracle import simulate
-    from dumb_crawler_ray.sources.synthweb import (DEFAULT_CONFIG, SynthWeb,
-                                                   write_fixture)
 
     monkeypatch.setenv("ROCKETSCRAPE_API_KEY", "k" * 16)
-    fix = write_fixture("/tmp/dcr_fixtures/sf4", seed=42, scale=4)
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     cfg["politeness"] = {"delay_ms": 1, "max_per_domain_per_round": 3,
                          "respect_robots": True}
     cfg["renderer"] = {"proxify": ["article"]}
     cfg["maxAttemptCount"] = 2
-    res = CrawlPipeline(fix, cfg, seed=42, scale=4, n_shards=3,
+    res = CrawlPipeline(fix4, cfg, seed=42, scale=4, n_shards=3,
                         fetch_concurrency=3).run()
     orc = simulate(cfg, SynthWeb.generate(42, 4))
     assert res.crawl_order == orc.crawl_order

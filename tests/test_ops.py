@@ -2014,6 +2014,61 @@ def test_source_overlap_matrix_planted(registry, ray_session):
     compare("source_overlap_matrix[planted]", df, sql, sf_dir=d)
 
 
+def test_source_overlap_guards_reject_absent_doc_and_broken_pairs():
+    """The keyed joins inside source_overlap_matrix fail loudly on broken
+    invariants: a pair side whose doc_id has no doc row raises instead of
+    taking a neighbouring doc's source, and an (a, b) partition whose
+    sides do not come one side-a plus one side-b per pair raises instead
+    of pairing sides of different pairs."""
+    import pyarrow as pa
+    import pytest as _pytest
+
+    from dumb_crawler_ray.ops.dedup import _overlap_attach, _overlap_combine
+
+    def part(doc_ids, sources, sides):
+        """doc rows (kind 0) then pair-side rows (doc_id, a, b, is_a)."""
+        n_d, n_s = len(doc_ids), len(sides)
+        return pa.table({
+            "doc_id": pa.array(list(doc_ids) + [s[0] for s in sides],
+                               pa.int64()),
+            "a": pa.array([None] * n_d + [s[1] for s in sides], pa.int64()),
+            "b": pa.array([None] * n_d + [s[2] for s in sides], pa.int64()),
+            "is_a": pa.array([None] * n_d + [s[3] for s in sides],
+                             pa.bool_()),
+            "source": pa.array(list(sources) + [None] * n_s, pa.string()),
+            "kind": pa.array([0] * n_d + [1] * n_s, pa.int8())})
+
+    ok = _overlap_attach(part([10, 30], ["A", "C"],
+                              [(10, 10, 30, True), (30, 10, 30, False)]))
+    assert ok.column("source").to_pylist() == ["A", "C"]
+    # doc 20 is absent: searchsorted lands between 10 and 30
+    with _pytest.raises(ValueError, match="absent"):
+        _overlap_attach(part([10, 30], ["A", "C"], [(20, 20, 30, True)]))
+    # doc 40 is past the last doc row
+    with _pytest.raises(ValueError, match="absent"):
+        _overlap_attach(part([10, 30], ["A", "C"], [(40, 30, 40, False)]))
+
+    def sides(rows):
+        return pa.table({
+            "a": pa.array([r[0] for r in rows], pa.int64()),
+            "b": pa.array([r[1] for r in rows], pa.int64()),
+            "is_a": pa.array([r[2] for r in rows], pa.bool_()),
+            "source": pa.array([r[3] for r in rows], pa.string())})
+
+    good = _overlap_combine(sides([(1, 2, True, "A"), (1, 2, False, "B"),
+                                   (3, 4, False, "C"), (3, 4, True, "C")]))
+    assert dict(zip(zip(good.column("source_a").to_pylist(),
+                        good.column("source_b").to_pylist()),
+                    good.column("n_part").to_pylist())) == {
+        ("A", "B"): 1, ("C", "C"): 1}
+    for broken in (
+            [(1, 2, True, "A")],                                # odd count
+            [(1, 2, True, "A"), (3, 4, False, "B")],            # keys differ
+            [(1, 2, True, "A"), (1, 2, True, "B")]):            # two side-a
+        with _pytest.raises(ValueError, match="pair sides"):
+            _overlap_combine(sides(broken))
+
+
 def test_doc_curation_full_planted(registry, ray_session):
     """Every gate of the fused curation decision fires on a constructed
     corpus — exact-dup loser, near-dup cluster loser, benchmark-
