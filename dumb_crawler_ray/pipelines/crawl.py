@@ -2,19 +2,23 @@
 
 Per round r:
   1 REFILL   every frontier shard peeks its top-k in the pinned total order
-             honoring the per-domain politeness cap; the driver merges,
-             re-applies the cap globally (exactness for salted hot domains)
-             and marks the final picks PROCESSING.
+             honoring the per-domain politeness cap; the driver merges and
+             re-applies the cap globally (exactness for salted hot
+             domains). A picked row's owner is the shard that offered it.
   2 FETCH    the selection is rank-sliced over a persistent FetchWorker
-             actor pool created once per run — render/validate/extract/
-             tag/filter per page; page html + validated image rows stream to
-             per-round parquet fragments from inside the workers.
-  3 DEDUP    flatten candidates in (rank, link_idx) order → first-occurrence
-             per url_hash → bloom probe (negatives skip the exact lookup) →
-             hash-route to shards → exact insert-if-absent.
-  4 COMMIT   status updates to shards, counter/lineage/order deltas +
-             frontier deltas to the checkpoint, manifest advance (atomic
-             rename) ⇒ exact resume at round granularity.
+             actor pool created once per run, one slice per actor —
+             render/validate/extract/tag/filter per page; page html +
+             validated image rows stream to per-round parquet fragments
+             from inside the workers.
+  3 APPLY    one message per shard: the rows to mark PROCESSING, their
+             fetch outcomes, the stored pages/images, and the candidates
+             (flattened in (rank, link_idx) order → first-occurrence per
+             url_hash → bloom probe, whose negatives skip the exact lookup
+             → hash-routed). Each shard applies its message in ONE
+             `apply_round` call, exact insert-if-absent included.
+  4 COMMIT   counter/lineage/order deltas, frontier deltas and the robots
+             entries the replies carried go to the checkpoint; manifest
+             advance (atomic rename) ⇒ exact resume at round granularity.
 
 The driver handles only O(batch) control rows per round — selection, small
 candidate columns, counters. All heavy payloads stay in the workers.
@@ -24,8 +28,8 @@ k, fetch actor pool size, per-domain cap; the by-domain partitioning key is
 reused for politeness, robots caching and the seen-set, so no stage needs
 a shuffle. Candidates take one path: workers precompute hash64 + owning
 shard, the driver flattens them in pinned order, dedups first-occurrence,
-probes its bloom and routes each shard its slice (`_insert_candidates` →
-`FrontierShardState.insert_candidates`). A worker → object store → shard
+probes its bloom and routes each shard its slice (`_insert_candidates`
+fills the round's `apply_round` messages). A worker → object store → shard
 route that kept candidates off the driver was measured slower at every
 scale tried (BENCH/STRESS.md) and removed.
 """
@@ -50,6 +54,23 @@ from ..state.bloom import BloomFilter
 from ..state.frontier import make_frontier_actor, shard_of_batch
 from ..stages.fetch import FetchWorker
 from . import semantics as S
+
+
+def _groups(sids: np.ndarray):
+    """(shard id, row indexes in input order) per shard present in
+    ``sids``, shards ascending."""
+    order = np.argsort(sids, kind="stable")
+    ids, starts = np.unique(sids[order], return_index=True)
+    return zip(ids.tolist(), np.split(order, starts[1:]))
+
+
+def _scatter(replies: dict, key: str, sids: np.ndarray) -> np.ndarray:
+    """Reassemble per-shard reply flags ``key`` into input order — the
+    inverse of routing rows into messages with `_groups`."""
+    out = np.zeros(len(sids), dtype=bool)
+    for sid, rep in replies.items():
+        out[sids == sid] = rep[key]
+    return out
 
 
 @dataclass
@@ -122,6 +143,12 @@ class CrawlPipeline:
         self.stop_flag_path = str(stop_flag_path) if stop_flag_path else None
         self.shards = None
         self._fetch_pool = None
+        self.robots_pool = None
+        # owning shard of each selected row, by rank (set by _select)
+        self._sel_shard = np.empty(0, dtype=np.int64)
+        # (shard, robots entry) rows the round's apply_round replies
+        # carried — written to the checkpoint by _ckpt_robots
+        self._robots_rows: list[tuple] = []
         # per-round per-shard lineage accumulator (north rule: per-partition
         # lineage records) — flushed to lineage/round=NNNNNN.parquet at commit
         self._lineage_acc: dict[int, dict] = {}
@@ -148,7 +175,6 @@ class CrawlPipeline:
         robots_cfg = (self.cfg.raw
                       if self.cfg.respect_robots
                       and self.cfg.fetcher_mode == "http" else None)
-        self.robots_pool = None
         if robots_cfg is not None:
             from ..sources.robots import make_robots_cache_actor
 
@@ -170,11 +196,10 @@ class CrawlPipeline:
             for i in range(self.n_shards)
         ]
 
-    def _route(self, domains, hashes) -> np.ndarray:
-        return shard_of_batch(domains, hashes, self.n_shards, self.hot_domains)
-
-    def _insert_candidates(self, cand):
-        """Dedup (first-occurrence, pinned), bloom probe, route, insert.
+    def _insert_candidates(self, cand, msgs: dict):
+        """Dedup (first-occurrence, pinned), bloom probe, route: each
+        shard's slice goes into its round message in ``msgs`` (shard id →
+        `apply_round` message); `_apply` sends it.
 
         ``cand``: pa.Table (url, url_hash, domain, tags, priority) in the
         pinned candidate order, or a plain dict of lists (seed path). All
@@ -183,7 +208,6 @@ class CrawlPipeline:
         not grow with cluster size."""
         import pandas as pd
         import pyarrow.compute as pc
-        import ray
 
         if isinstance(cand, dict):
             cand = pa.table(
@@ -222,29 +246,14 @@ class CrawlPipeline:
         else:  # seed / restore path: columns not precomputed
             h64 = hash64_batch(hashes_np)
             cand = cand.append_column("hash64", pa.array(h64, pa.int64()))
-            shard_ids = self._route(cand.column("domain").to_pylist(),
-                                    hashes_np)
+            shard_ids = shard_of_batch(cand.column("domain").to_pylist(),
+                                       hashes_np, self.n_shards,
+                                       self.hot_domains)
         maybe_seen = self.bloom.contains_many(h64)
-        refs, ref_sids = [], []
-        for sid in range(self.n_shards):
-            idx = np.flatnonzero(shard_ids == sid)
-            if len(idx) == 0:
-                continue
-            refs.append(
-                self.shards[sid].insert_candidates.remote(
-                    cand.take(pa.array(idx)), maybe_seen[idx]
-                )
-            )
-            ref_sids.append((sid, len(idx)))
-        for (sid, n_in), delta in zip(ref_sids, ray.get(refs)):
-            self.counters["DISCOVERED_URLS"] += delta["discovered"]
-            self.counters["ROBOTS_DENIED_URLS"] += delta["robots_denied"]
-            self.stats["SEEN_EXACT_PROBES"] += delta["exact_probes"]
-            lin = self._lineage(sid)
-            lin["candidates_in"] += n_in
-            lin["discovered"] += delta["discovered"]
-            lin["robots_denied"] += delta["robots_denied"]
-            lin["exact_probes"] += delta["exact_probes"]
+        for sid, idx in _groups(shard_ids):
+            msgs.setdefault(sid, {}).update(cand=cand.take(pa.array(idx)),
+                                            maybe_seen=maybe_seen[idx])
+            self._lineage(sid)["candidates_in"] += len(idx)
         self.bloom.add_many(h64)
         self._ckpt_frontier_inserts(cand)
 
@@ -253,6 +262,7 @@ class CrawlPipeline:
         if not seeds:
             return
         tags_list, prio, hashes, _a, _na, _ni = self.comp.analyze_urls(seeds)
+        msgs: dict[int, dict] = {}
         self._insert_candidates(
             {
                 "url": list(seeds),
@@ -260,8 +270,34 @@ class CrawlPipeline:
                 "domain": [self.comp.domain_of(u) for u in seeds],
                 "tags": [[S.SEED_TAG] + t for t in tags_list],
                 "priority": [int(p) for p in prio],
-            }
+            },
+            msgs,
         )
+        self._apply(msgs)
+
+    def _apply(self, msgs: dict) -> dict:
+        """Send each shard its one `apply_round` message and fold the
+        frontier deltas into counters and lineage. Returns the replies by
+        shard id (the stored page/image was-NEW flags live there)."""
+        import ray
+
+        sids = sorted(msgs)
+        replies = dict(zip(sids, ray.get(
+            [self.shards[sid].apply_round.remote(msgs[sid]) for sid in sids])))
+        for sid, rep in replies.items():
+            self.counters["DISCOVERED_URLS"] += rep["discovered"]
+            self.counters["ROBOTS_DENIED_URLS"] += rep["robots_denied"]
+            self.stats["SEEN_EXACT_PROBES"] += rep["exact_probes"]
+            if "cand" in msgs[sid]:
+                lin = self._lineage(sid)
+                for k in ("discovered", "robots_denied", "exact_probes"):
+                    lin[k] += rep[k]
+            # rows carry the deciding shard: hot-domain salting spreads
+            # one domain over several shards, each caching its own
+            # (possibly conflicting, if the server flapped) decision —
+            # restore replays each shard's ACTUAL decision
+            self._robots_rows.extend((sid, r) for r in rep["robots"])
+        return replies
 
     # ------------------------------------------------------------ rounds
 
@@ -279,6 +315,8 @@ class CrawlPipeline:
         )
         if len(url_hash) == 0:
             return None
+        owner = np.repeat(np.arange(len(parts), dtype=np.int64),
+                          [len(p["url_hash"]) for p in parts])
         url = [u for p in parts for u in p["url"]]
         domain = [d for p in parts for d in p["domain"]]
         priority = np.asarray(
@@ -308,14 +346,9 @@ class CrawlPipeline:
             sel = order[:k]
         sel_hashes = url_hash[sel]
         sel_domains = [domain[i] for i in sel]
-        # mark PROCESSING on owning shards
-        shard_ids = self._route(sel_domains, sel_hashes)
-        refs = []
-        for sid in range(self.n_shards):
-            hs = [sel_hashes[i] for i in np.flatnonzero(shard_ids == sid)]
-            if hs:
-                refs.append(self.shards[sid].mark_selected.remote(hs))
-        ray.get(refs)
+        # the owners get their picks marked PROCESSING in the round's one
+        # write (_harvest → _apply); nothing touches a shard before then
+        self._sel_shard = owner[sel]
         # domain-GLOBAL politeness schedule: one URL of a domain may start
         # per max(config delay, robots Crawl-delay), regardless of which
         # fetch actor the row lands on (chunks are rank-sliced, not
@@ -409,15 +442,17 @@ class CrawlPipeline:
                             for _ in range(self.fetch_concurrency)]
 
     def _fetch(self, selection: pa.Table) -> pa.Table:
-        """Rank-slice the selection over the fetch pool (two chunks per
-        actor) and return the per-URL outcomes in rank order."""
+        """Rank-slice the selection over the fetch pool, one call per
+        actor (a FetchWorker runs its calls one at a time and overlaps
+        RTT over its own fetch threads), and return the per-URL outcomes
+        in rank order."""
         import ray
 
         pool = self._fetch_pool
-        n_chunks = min(len(selection), len(pool) * 2) or 1
+        n_chunks = min(len(selection), len(pool)) or 1
         step = -(-len(selection) // n_chunks)
         refs = [
-            pool[j % len(pool)].__call__.remote(selection.slice(i, step))
+            pool[j].__call__.remote(selection.slice(i, step))
             for j, i in enumerate(range(0, len(selection), step))
         ]
         return pa.concat_tables(ray.get(refs)).sort_by("rank")
@@ -425,26 +460,32 @@ class CrawlPipeline:
     def _harvest(self, result: pa.Table):
         """Apply fetch outcomes in rank order: counters, storage bookkeeping,
         status completion, candidate extraction — mirrors the oracle loop.
+        All shard work of the round is one `_apply`: every row is routed
+        once, to the shard `_select` took it from.
 
         Vectorized throughout (Arrow filters/flatten + numpy masks): the
-        only remaining Python loop is over STORED pages (store bookkeeping
-        needs ordered membership against the cross-round seen sets). The
+        only remaining Python loops are over this round's rows. The
         per-page candidate lists are never expanded into Python row dicts —
         `pc.list_flatten` concatenates them in (rank, link-idx) order,
         which is exactly the pinned candidate order."""
         import pyarrow.compute as pc
-        import ray
 
         n = len(result)
         maxa = self.cfg.max_attempt_count
+        sids = self._sel_shard[result.column("rank").to_numpy()]
+        all_hashes = result.column("url_hash").to_pylist()
+        msgs = {sid: {"mark": [all_hashes[i] for i in idx]}
+                for sid, idx in _groups(sids)}
         allowed = result.column("schedule_allowed").to_numpy(zero_copy_only=False)
         n_allowed = int(allowed.sum())
         self.counters["IGNORED_LINKS"] += n - n_allowed
         self.counters["ALLOWED_LINKS"] += n_allowed
         completes: dict[int, dict] = {}
         order_rows: list = []
+        stored = None
         if n_allowed:
             fr = result.filter(pa.array(allowed))  # rank order preserved
+            fr_sids = sids[allowed]
             hashes = fr.column("url_hash").to_pylist()
             errors = fr.column("error").to_pylist()
             attempts = fr.column("attempt").to_numpy() + 1
@@ -477,38 +518,22 @@ class CrawlPipeline:
             self.counters["SAVED_PAGES"] += len(st_idx)
             self.counters["UNSAVED_PAGES"] += n_ok - len(st_idx)
             if len(st_idx):
-                img_lists = fr.column("image_ids").take(pa.array(st_idx)).to_pylist()
                 st_hashes = [hashes[i] for i in st_idx]
-                doms = fr.column("domain").to_pylist()
-                page_new, flat_imgs, img_new = self._note_stored(
-                    st_hashes, [doms[i] for i in st_idx], img_lists)
-                n_new = int(page_new.sum())
-                self.counters["NEW_SAVED_PAGES"] += n_new
-                self.counters["UPDATED_PAGES"] += len(st_hashes) - n_new
-                n_new_img = int(img_new.sum())
-                self.counters["SAVED_IMAGES"] += n_new_img
-                self.counters["DUP_IMAGE_REFS"] += len(flat_imgs) - n_new_img
-                if self.result_lists:
-                    self.stored_pages.extend(
-                        h for h, f in zip(st_hashes, page_new) if f)
-                    self.stored_images.extend(
-                        i for i, f in zip(flat_imgs, img_new) if f)
+                img_lists = fr.column("image_ids").take(pa.array(st_idx)).to_pylist()
+                st_sids = fr_sids[st_idx]
+                stored = (st_hashes, st_sids, *self._note_stored(
+                    st_hashes, st_sids, img_lists, msgs))
                 n_img_err = int(
                     pc.sum(fr.column("image_errors").take(pa.array(st_idx))).as_py()
                     or 0
                 )
                 if n_img_err:
                     self.counters["IMAGE_VALIDATION_ERRORS"] += n_img_err
-            # status completion, routed to owning shards in rank order
+            # status completion for the owning shards, in rank order
             status = np.where(err_mask, S.FAILED, S.PROCESSED)
             tags = fr.column("tags").to_pylist()
-            sids = self._route(fr.column("domain").to_pylist(), hashes)
-            refs = []
-            for sid in range(self.n_shards):
-                idx = np.flatnonzero(sids == sid)
-                if len(idx) == 0:
-                    continue
-                completes[sid] = {
+            for sid, idx in _groups(fr_sids):
+                completes[sid] = msgs[sid]["complete"] = {
                     "url_hash": [hashes[i] for i in idx],
                     "status": status[idx].tolist(),
                     "error": [errors[i] for i in idx],
@@ -516,11 +541,8 @@ class CrawlPipeline:
                     "attempt": attempts[idx].tolist(),
                 }
                 lin = self._lineage(sid)
-                st = status[idx]
                 lin["fetched"] += int(len(idx))
-                lin["failed"] += int((st == S.FAILED).sum())
-                refs.append(self.shards[sid].complete.remote(completes[sid]))
-            ray.get(refs)
+                lin["failed"] += int((status[idx] == S.FAILED).sum())
         self._ckpt_updates(completes, order_rows)
         # candidates: empty lists on skipped/failed rows make flatten-all
         # exactly the success candidates in pinned order
@@ -538,40 +560,43 @@ class CrawlPipeline:
             }
         )
         if len(cand):
-            self._insert_candidates(cand)
+            self._insert_candidates(cand, msgs)
+        replies = self._apply(msgs)
+        if stored is None:
+            return
+        st_hashes, page_sids, flat_imgs, img_sids = stored
+        page_new = _scatter(replies, "page_new", page_sids)
+        img_new = _scatter(replies, "image_new", img_sids)
+        n_new = int(page_new.sum())
+        self.counters["NEW_SAVED_PAGES"] += n_new
+        self.counters["UPDATED_PAGES"] += len(st_hashes) - n_new
+        n_new_img = int(img_new.sum())
+        self.counters["SAVED_IMAGES"] += n_new_img
+        self.counters["DUP_IMAGE_REFS"] += len(flat_imgs) - n_new_img
+        if self.result_lists:
+            self.stored_pages.extend(
+                h for h, f in zip(st_hashes, page_new) if f)
+            self.stored_images.extend(
+                i for i, f in zip(flat_imgs, img_new) if f)
 
-    def _note_stored(self, st_hashes, st_domains, img_lists):
-        """Route this round's stored pages/images to their owning frontier
-        shards and collect was-NEW flags (the distributed NEW-vs-UPDATED /
-        SAVED-vs-DUP decision — the driver holds no cross-round membership
-        sets and touches only O(round) bools). Flat image order is page
+    def _note_stored(self, st_hashes, st_sids, img_lists, msgs: dict):
+        """Route this round's stored pages/images into the owning shards'
+        round messages; the was-NEW flags come back in the `apply_round`
+        replies (the distributed NEW-vs-UPDATED / SAVED-vs-DUP decision —
+        the driver holds no cross-round membership sets and touches only
+        O(round) bools). Pages go to their record's shard (``st_sids``);
+        each image id routes to ONE shard and flat image order is page
         order, so within-round duplicates resolve like the oracle's
-        sequential loop (each id routes to ONE shard, preserving order)."""
-        import ray
-
+        sequential loop. Returns the flat image ids and their shards."""
         from ..state.frontier import image_shard_of_batch
 
         flat_imgs = [iid for lst in img_lists for iid in lst]
-        page_sids = self._route(st_domains,
-                                np.asarray(st_hashes, dtype=object))
         img_sids = image_shard_of_batch(flat_imgs, self.n_shards)
-        pending = []
-        for sid in range(self.n_shards):
-            p_idx = np.flatnonzero(page_sids == sid)
-            i_idx = np.flatnonzero(img_sids == sid)
-            if len(p_idx) == 0 and len(i_idx) == 0:
-                continue
-            ref = self.shards[sid].note_stored.remote(
-                [st_hashes[i] for i in p_idx],
-                [flat_imgs[i] for i in i_idx])
-            pending.append((p_idx, i_idx, ref))
-        page_new = np.zeros(len(st_hashes), dtype=bool)
-        img_new = np.zeros(len(flat_imgs), dtype=bool)
-        for (p_idx, i_idx, _), d in zip(pending,
-                                        ray.get([r for _, _, r in pending])):
-            page_new[p_idx] = d["page_new"]
-            img_new[i_idx] = d["image_new"]
-        return page_new, flat_imgs, img_new
+        for key, ids, sids in (("pages", st_hashes, st_sids),
+                               ("images", flat_imgs, img_sids)):
+            for sid, idx in _groups(sids):
+                msgs.setdefault(sid, {})[key] = [ids[i] for i in idx]
+        return flat_imgs, img_sids
 
     # ---------------------------------------------------------- lineage
 
@@ -619,11 +644,9 @@ class CrawlPipeline:
             return
         d = self._ckpt_path("frontier_inserts")
         os.makedirs(d, exist_ok=True)
-        t = cand.select(["url", "url_hash", "domain", "tags", "priority"])
-        path = os.path.join(d, f"round={self.round:06d}.parquet")
-        if os.path.exists(path):  # multiple insert batches within one round
-            t = pa.concat_tables([pq.read_table(path), t])
-        pq.write_table(t, path)
+        pq.write_table(  # one insert batch per round
+            cand.select(["url", "url_hash", "domain", "tags", "priority"]),
+            os.path.join(d, f"round={self.round:06d}.parquet"))
 
     def _ckpt_updates(self, completes: dict, order_rows: list):
         if not self.ckpt_dir:
@@ -658,18 +681,10 @@ class CrawlPipeline:
     def _ckpt_robots(self):
         """Persist newly-cached robots entries per round: robots DECISIONS
         are crawl state — restore replays the original rules rather than
-        re-consulting a network whose answers may have changed."""
-        import ray
-
-        if not self.ckpt_dir or not self.cfg.respect_robots:
-            return
-        # rows carry the deciding shard: hot-domain salting spreads one
-        # domain over several shards, each caching its own (possibly
-        # conflicting, if the server flapped) decision — restore must
-        # replay each shard's ACTUAL decision, not collapse to the first
-        parts = ray.get([s.drain_robots_entries.remote() for s in self.shards])
-        rows = [(sid, r) for sid, part in enumerate(parts) for r in part]
-        if not rows:
+        re-consulting a network whose answers may have changed. The
+        entries are the ones this round's `apply_round` replies carried."""
+        rows, self._robots_rows = self._robots_rows, []
+        if not self.ckpt_dir or not rows:
             return
         d = self._ckpt_path("robots")
         os.makedirs(d, exist_ok=True)
@@ -680,10 +695,7 @@ class CrawlPipeline:
              "delay_ms": pa.array([int(r[2] * 1000) for _, r in rows],
                                   pa.int64()),
              "shard": pa.array([sid for sid, _ in rows], pa.int64())})
-        path = os.path.join(d, f"round={self.round:06d}.parquet")
-        if os.path.exists(path):
-            t = pa.concat_tables([pq.read_table(path), t])
-        pq.write_table(t, path)
+        pq.write_table(t, os.path.join(d, f"round={self.round:06d}.parquet"))
 
     def _ckpt_commit(self):
         self._ckpt_lineage()
@@ -805,10 +817,24 @@ class CrawlPipeline:
     # --------------------------------------------------------------- run
 
     def run(self, max_rounds: int | None = None) -> CrawlResult:
+        """Crawl until the frontier drains, ``max_rounds`` rounds ran, a
+        stop is requested or the idle timeout fires. The run's actors
+        (frontier shards, fetch pool, robots pool) end with it, also when
+        it raises."""
         import ray
 
-        self._start_shards()
-        self._start_fetch_pool()  # overlap actor startup with the restore/seed phase
+        try:
+            self._start_shards()
+            self._start_fetch_pool()  # overlap actor startup with the restore/seed phase
+            return self._crawl(max_rounds)
+        finally:
+            for a in ((self.shards or []) + (self._fetch_pool or [])
+                      + (self.robots_pool or [])):
+                ray.kill(a)
+
+    def _crawl(self, max_rounds: int | None) -> CrawlResult:
+        import ray
+
         restored = False
         if self.resume and self.ckpt_dir:
             restored = self._ckpt_restore()

@@ -5,7 +5,7 @@ construction loads the synthetic web (the sandbox "network", SURVEY.md S3)
 and compiles every config-derived operator ONCE (`__init__`), then
 `__call__` processes Arrow batches:
 
-  input  rows: rank, url_hash, url, attempt, priority
+  input  rows: rank, url_hash, url, domain, attempt, round, not_before_ts
   output rows: rank, url_hash, url, attempt, schedule_allowed, error,
                store_ok, tags (list), image_ids (list),
                n_links_allowed, n_links_ignored,
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import uuid
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -123,6 +124,13 @@ def _image_store_paths(fixture_dir: str) -> list[str]:
 IMAGE_STORE_COLUMNS = ["image_id", "bytes", "w", "h", "fmt", "caption",
                        "phash"]
 
+# per-actor cap on materialized image shards (LRU), sized so a bench- or
+# scaling-scale store (hundreds of shards) never thrashes: an actor whose
+# pages reference the whole corpus holds one id->row index over it
+# (tables stay zero-copy in plasma; the cache holds only index dicts +
+# column handles)
+IMG_SHARD_CACHE_MAX = 4096
+
 
 def load_image_rowgroup(path: str, rg: int) -> pa.Table:
     """Shard loader for the distributed image store — runs as a Ray task
@@ -159,59 +167,39 @@ class FetchWorker:
         else:
             pages = pq.read_table(os.path.join(fixture_dir, "pages.parquet"))
             self.web = SynthWeb(pages, seed, scale)
-        # SHARDED image store (verdict r3 #3): the store is a list of
-        # range-pruned shard descriptors — ('ref', ObjectRef) when the
-        # pipeline pre-loaded row groups via Ray tasks (workers read, the
-        # driver holds only refs), ('file', (path, rg)) in the local lazy
-        # fallback — each with the image_id min/max from parquet FOOTER
-        # stats. Per-actor setup is O(shards) metadata, NEVER an
-        # O(corpus) id scan; an actor materializes + indexes only the
-        # shards its pages actually reference (zero-copy plasma for the
-        # ref kind), with an LRU on the index dicts.
-        entries: list[tuple] = []
-        if images_shards is not None:
-            entries = [("ref", r, lo, hi) for (r, lo, hi) in images_shards]
-        else:
-            entries = [("file", (p, rg), lo, hi)
-                       for (p, rg, lo, hi) in _rowgroup_entries(
-                           _image_store_paths(fixture_dir))]
-        with_stats = sorted((e for e in entries if e[2] is not None),
-                            key=lambda e: e[2])
-        self._img_shards = with_stats + [e for e in entries if e[2] is None]
-        self._img_los = [e[2] for e in with_stats]
-        self._img_his = [e[3] for e in with_stats]
+        # SHARDED image store (verdict r3 #3): ``images_shards`` is a list
+        # of range-pruned shard descriptors (ObjectRef, lo, hi) — the
+        # pipeline pre-loads row groups via Ray tasks (workers read, the
+        # driver holds only refs) with the image_id min/max from parquet
+        # FOOTER stats; None when there is no local image store. Per-actor
+        # setup is O(shards) metadata, NEVER an O(corpus) id scan; an
+        # actor materializes + indexes (zero-copy from plasma) only the
+        # shards its pages actually reference, with an LRU on the index
+        # dicts.
+        entries = list(images_shards or [])
+        with_stats = sorted((e for e in entries if e[1] is not None),
+                            key=lambda e: e[1])
+        self._img_shards = with_stats + [e for e in entries if e[1] is None]
+        self._img_los = [e[1] for e in with_stats]
+        self._img_his = [e[2] for e in with_stats]
         runmax: list[str] = []
         for h in self._img_his:
             runmax.append(h if not runmax or h > runmax[-1] else runmax[-1])
         self._img_hi_runmax = runmax
         self._n_stat_shards = len(with_stats)
         self._shard_cache: dict[int, dict] = {}  # j -> {"cols", "index"}
-        # cap sized so a bench/scaling-scale store (hundreds of shards)
-        # never thrashes: an actor whose pages reference the whole corpus
-        # holds at most the same id->row index the old whole-table
-        # broadcast built per actor anyway (tables stay zero-copy in
-        # plasma; the cache holds only index dicts + column handles).
-        # Tune down via DCR_IMG_SHARD_CACHE only when per-actor id-index
-        # memory, not plasma, is the binding constraint.
-        self._shard_cache_max = int(
-            os.environ.get("DCR_IMG_SHARD_CACHE", "4096"))
         self.ckpt_dir = ckpt_dir
         self.fetch_delay_s = fetch_delay_s
-        # politeness pacing (north rule): min wall-clock delay between
-        # fetches of the same domain. Domains are shard-local and rank-
-        # contiguous in a slice, so per-actor clocks pace the strict
-        # per-round budget (the cap) without affecting crawl ORDER.
-        self.politeness_delay_s = self.cfg.politeness_delay_ms / 1000.0
-        self._domain_last_fetch: dict[str, float] = {}
-        # in-actor fetch threads — the reference's `threadCount` semantics
+        # politeness pacing (north rule) is the driver's schedule: each
+        # selection row carries a domain-global not-before wall-clock
+        # stamp (crawl.py _select) encoding max(config delay, robots
+        # Crawl-delay) across the whole round and pool, and a fetch waits
+        # for its stamp — wall clock only, never crawl ORDER.
+        # In-actor fetch threads — the reference's `threadCount` semantics
         # (J/DumbCrawler.java task executor): RTT overlaps WITHIN a worker
         # while outcomes stay deterministic (results re-ordered by input
-        # index; the per-domain politeness clock is lock-protected). 1 =
-        # serial (conformance default).
-        import threading
-
+        # index). 1 = serial (conformance default).
         self.fetch_threads = max(1, int(fetch_threads))
-        self._pace_lock = threading.Lock()
         self._executor = None
         self.round = -1  # set via batch column
 
@@ -221,30 +209,21 @@ class FetchWorker:
             "index": {iid: i for i, iid in enumerate(
                 tbl.column("image_id").to_pylist())},
         }
-        if len(self._shard_cache) >= self._shard_cache_max:
+        if len(self._shard_cache) >= IMG_SHARD_CACHE_MAX:
             self._shard_cache.pop(next(iter(self._shard_cache)))
         self._shard_cache[j] = entry
         return entry
 
     def _load_shards(self, js: list[int]) -> None:
         """Materialize + index the listed shards (once per actor,
-        LRU-capped). Ref shards resolve in ONE batched zero-copy
-        `ray.get`; file shards read one row group each."""
-        missing = [j for j in js if j not in self._shard_cache]
-        if not missing:
-            return
-        ref_js = [j for j in missing if self._img_shards[j][0] == "ref"]
-        if ref_js:
-            import ray
+        LRU-capped) in ONE batched zero-copy `ray.get`."""
+        import ray
 
-            for j, tbl in zip(ref_js,
-                              ray.get([self._img_shards[j][1]
-                                       for j in ref_js])):
+        missing = [j for j in js if j not in self._shard_cache]
+        if missing:
+            for j, tbl in zip(missing, ray.get([self._img_shards[j][0]
+                                                for j in missing])):
                 self._cache_shard_table(j, tbl)
-        for j in missing:
-            if self._img_shards[j][0] != "ref":
-                path, rg = self._img_shards[j][1]
-                self._cache_shard_table(j, load_image_rowgroup(path, rg))
 
     def _candidate_shards(self, iid: str):
         """Interval stabbing over the sorted (lo, hi) shard ranges: with
@@ -323,35 +302,20 @@ class FetchWorker:
         # fetch_threads in-actor threads — RTT/network I/O releases the
         # GIL; results are consumed in input-index order so outcomes are
         # bit-identical at any thread count)
-        crawl_delay_s = (
-            [d / 1000.0 for d in batch.column("crawl_delay_ms").to_pylist()]
-            if "crawl_delay_ms" in batch.column_names else [0.0] * n)
-        # driver-scheduled domain-GLOBAL politeness stamps: when present,
-        # they already encode max(config delay, robots Crawl-delay) across
-        # the WHOLE round and pool (crawl.py _select), so actor-local
-        # pacing is skipped — it would only double-wait
+        # driver-scheduled domain-GLOBAL politeness stamps (crawl.py
+        # _select); a batch without them is not paced
         not_before = (
             batch.column("not_before_ts").to_pylist()
-            if "not_before_ts" in batch.column_names else None)
+            if "not_before_ts" in batch.column_names else [0.0] * n)
 
         def fetch_one(i: int):
-            import time as _time
+            import time
 
             url, tags = urls[i], tags_list[i]
-            if not_before is not None:
-                wait = not_before[i] - _time.time()
-                if wait > 0:
-                    _time.sleep(wait)
-            else:
-                # per-domain pacing, actor-local fallback (direct worker
-                # use without a driver schedule): the stricter of the
-                # config politeness delay and the robots Crawl-delay
-                delay_s = max(self.politeness_delay_s, crawl_delay_s[i])
-                if delay_s:
-                    self._pace(self.comp.domain_of(url), delay_s)
+            wait = not_before[i] - time.time()
+            if wait > 0:
+                time.sleep(wait)
             if self.fetch_delay_s:
-                import time
-
                 time.sleep(self.fetch_delay_s)  # simulated per-URL RTT
             try:
                 resp = self.web.fetch(self.comp.fetch_url_for(url, tags))
@@ -466,30 +430,9 @@ class FetchWorker:
                      "round": rnd, "rank": ranks[i], "validation_error": verr}
                 )
         self._write_fragments(rnd, page_rows, image_rows, failed_rows)
-        out["image_errors"] = [
-            sum(1 for r in image_rows if r["rank"] == ranks[i] and r["validation_error"])
-            for i in range(n)
-        ]
+        n_bad = Counter(r["rank"] for r in image_rows if r["validation_error"])
+        out["image_errors"] = [n_bad[r] for r in ranks]
         return _to_arrow(out)
-
-    def _pace(self, domain: str, delay_s: float | None = None) -> None:
-        """Min wall-clock delay between fetches of one domain (config
-        politeness or, when larger, the domain's robots Crawl-delay).
-        Lock-protected claim-then-sleep so concurrent fetch threads
-        serialize per domain without holding the lock while sleeping."""
-        import time
-
-        if delay_s is None:
-            delay_s = self.politeness_delay_s
-        while True:
-            with self._pace_lock:
-                now = time.monotonic()
-                last = self._domain_last_fetch.get(domain)
-                wait = 0.0 if last is None else (delay_s - (now - last))
-                if wait <= 0:
-                    self._domain_last_fetch[domain] = now
-                    return
-            time.sleep(wait)
 
     def _write_fragments(self, rnd: int, page_rows, image_rows,
                          failed_rows=()) -> None:

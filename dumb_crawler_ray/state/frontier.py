@@ -101,7 +101,7 @@ class FrontierShardState:
         # a sources.robots.RobotsFetcher → live per-domain /robots.txt
         # through the SAME HttpWeb transport the fetch stage uses
         self.robots_fetcher = robots_fetcher
-        # entries cached since the last checkpoint drain — robots
+        # entries cached since the last apply_round drain — robots
         # DECISIONS are crawl state: they persist per round so restore
         # replays the ORIGINAL rules instead of re-consulting a network
         # whose answers may have changed (http mode would otherwise make
@@ -169,9 +169,10 @@ class FrontierShardState:
         return entry
 
     def drain_robots_entries(self) -> list[tuple[str, list[str], float]]:
-        """Robots entries cached since the last drain — the driver
-        persists them per round (robots/round=NNNNNN.parquet) so restore
-        pre-seeds the cache with the ORIGINAL decisions."""
+        """Robots entries cached since the last drain — `apply_round`
+        returns them and the driver persists them per round
+        (robots/round=NNNNNN.parquet) so restore pre-seeds the cache with
+        the ORIGINAL decisions."""
         out, self._robots_new = self._robots_new, []
         return out
 
@@ -260,7 +261,8 @@ class FrontierShardState:
         """Peek this shard's top-k eligible rows in the pinned order,
         honoring the per-domain cap locally. Does NOT change status — the
         driver merges shards, re-applies the cap globally (for salted
-        domains) and calls ``mark_selected`` with the final picks."""
+        domains) and sends the final picks as the ``mark`` part of the
+        round's ``apply_round`` message."""
         taken: list[tuple] = []
         per_domain: Counter = Counter()
         popped: list[tuple] = []
@@ -360,6 +362,32 @@ class FrontierShardState:
                 self.stored_images.add(i)
             image_new.append(new)
         return {"page_new": page_new, "image_new": image_new}
+
+    # -------------------------------------------------------------- round
+
+    def apply_round(self, msg: dict) -> dict:
+        """The round's one write to this shard, in the reference's harvest
+        order (J/DumbCrawler.java:81-126): mark the selected rows
+        PROCESSING, `complete` the fetched ones, `note_stored`, then
+        `insert_candidates`, and hand back the robots entries cached
+        since the last call. Every key of ``msg`` is optional:
+
+          mark            url_hashes the driver selected from this shard
+          complete        fetch outcome rows (see `complete`)
+          pages, images   stored page hashes / image ids, in store order
+          cand, maybe_seen   routed candidate batch + its bloom verdicts
+
+        Exact because nothing touches a shard between its
+        `select_candidates` peek and this call. Returns the `note_stored`
+        flags, the `insert_candidates` deltas and ``robots``."""
+        self.mark_selected(msg.get("mark", ()))
+        if "complete" in msg:
+            self.complete(msg["complete"])
+        out = self.note_stored(msg.get("pages", ()), msg.get("images", ()))
+        out.update(self.insert_candidates(msg.get("cand", {"url_hash": ()}),
+                                          msg.get("maybe_seen")))
+        out["robots"] = self.drain_robots_entries()
+        return out
 
     # ------------------------------------------------------- restore
 
@@ -512,20 +540,12 @@ def make_frontier_actor():
                                             seen_capacity, fetcher,
                                             compact_terminal=compact_terminal)
 
-        def insert_candidates(self, rows, maybe_seen=None):
-            return self.state.insert_candidates(rows, maybe_seen)
-
+        # per round: one read (select_candidates), one write (apply_round)
         def select_candidates(self, k, per_domain_cap, max_attempt):
             return self.state.select_candidates(k, per_domain_cap, max_attempt)
 
-        def mark_selected(self, url_hashes):
-            return self.state.mark_selected(url_hashes)
-
-        def complete(self, rows):
-            return self.state.complete(rows)
-
-        def note_stored(self, page_hashes, image_ids):
-            return self.state.note_stored(page_hashes, image_ids)
+        def apply_round(self, msg):
+            return self.state.apply_round(msg)
 
         def record_hash64(self):
             return self.state.record_hash64()
@@ -533,9 +553,6 @@ def make_frontier_actor():
         def restore_from_ckpt(self, ckpt_dir, n_shards, hot_domains):
             return self.state.restore_from_ckpt(ckpt_dir, n_shards,
                                                 hot_domains)
-
-        def drain_robots_entries(self):
-            return self.state.drain_robots_entries()
 
         def status_counts(self):
             return self.state.status_counts()

@@ -367,8 +367,8 @@ def test_unsupported_selector_does_not_crash_crawl(ray_session, fix4):
 
 def test_conformance_with_fetch_threads(ray_session, fix4):
     """In-actor fetch threads (reference threadCount semantics) must not
-    change ANY outcome: results re-order by input index, the politeness
-    clock is lock-protected."""
+    change ANY outcome: results re-order by input index, and politeness
+    is the driver's per-row not-before stamp."""
     web = SynthWeb.generate(42, 4)
     orc = oracle.simulate(DEFAULT_CONFIG, web)
     res = CrawlPipeline(
@@ -380,7 +380,7 @@ def test_conformance_with_fetch_threads(ray_session, fix4):
 
 def test_politeness_pacing_with_fetch_threads(ray_session, fix4):
     """With a politeness delay and threads, per-domain fetch spacing still
-    holds (the pacing clock is shared across threads)."""
+    holds (every thread waits for its row's driver-assigned stamp)."""
     import copy
     import time
 
@@ -398,3 +398,65 @@ def test_politeness_pacing_with_fetch_threads(ray_session, fix4):
     # least (per-domain fetches - 1) × 30 ms of enforced spacing per actor
     assert res.crawl_order == orc.crawl_order[:len(res.crawl_order)]
     assert wall >= 0.03  # sanity: pacing actually slept
+
+
+class _Counted:
+    """An actor handle that logs (round, actor, method) per remote call."""
+
+    def __init__(self, pipe, who, handle):
+        self._pipe, self._who, self._handle = pipe, who, handle
+
+    def __getattr__(self, meth):
+        from types import SimpleNamespace
+
+        method = getattr(self._handle, meth)
+
+        def remote(*args, **kwargs):
+            self._pipe.calls.append((self._pipe.round, self._who, meth))
+            return method.remote(*args, **kwargs)
+
+        return SimpleNamespace(remote=remote)
+
+
+class _CountingPipeline(CrawlPipeline):
+    """Counts calls through wrapped shard and fetch handles; the real
+    handles are back in place before run() releases them."""
+
+    def _crawl(self, max_rounds):
+        self.calls = []
+        real = self.shards, self._fetch_pool
+        self.shards = [_Counted(self, ("shard", i), h)
+                       for i, h in enumerate(real[0])]
+        self._fetch_pool = [_Counted(self, ("fetch", j), h)
+                            for j, h in enumerate(real[1])]
+        try:
+            return super()._crawl(max_rounds)
+        finally:
+            self.shards, self._fetch_pool = real
+
+
+def test_one_read_one_write_per_shard_per_round(ray_session, fix4):
+    """Per round each frontier shard gets exactly one select_candidates
+    and at most one apply_round, and each fetch actor at most one call;
+    the seed phase (round -1) is one apply_round per shard at most. The
+    crawl still matches the oracle."""
+    from collections import Counter
+
+    pipe = _CountingPipeline(fix4, DEFAULT_CONFIG, seed=42, scale=4,
+                             n_shards=4, fetch_concurrency=3)
+    res = pipe.run()
+    assert_match(res, oracle.simulate(DEFAULT_CONFIG, SynthWeb.generate(42, 4)))
+    n = Counter(pipe.calls)
+    assert {m for _, _, m in pipe.calls} == {
+        "select_candidates", "apply_round", "__call__", "seen_entries"}
+    for i in range(4):
+        assert n[(-1, ("shard", i), "select_candidates")] == 0
+        assert n[(-1, ("shard", i), "apply_round")] <= 1
+        for r in range(res.rounds + 1):  # + the final, empty select
+            assert n[(r, ("shard", i), "select_candidates")] == 1
+            assert n[(r, ("shard", i), "apply_round")] <= 1
+    fetches = Counter(r for r, _, m in pipe.calls if m == "__call__")
+    assert sorted(fetches) == list(range(res.rounds))
+    assert max(n.get((r, ("fetch", j), "__call__"), 0)
+               for r in range(res.rounds) for j in range(3)) == 1
+    assert max(fetches.values()) == 3  # full rounds use every actor

@@ -141,6 +141,35 @@ def test_resume_after_crash_mid_first_round(ray_session, fix4, tmp_path):
     assert res.stored_pages == orc.stored_pages
 
 
+def test_run_releases_its_actors(ray_session, fix4, tmp_path):
+    """run() ends the frontier shards and the fetch pool it started, both
+    when it returns and when it raises (here: a crash before the round-0
+    commit); a saved handle then raises RayActorError."""
+    import ray
+    from ray.exceptions import RayActorError
+
+    class CrashBeforeFirstCommit(CrawlPipeline):
+        def _ckpt_commit(self):
+            if self.round >= 0:
+                raise RuntimeError("simulated crash before round-0 commit")
+            super()._ckpt_commit()
+
+    done = CrawlPipeline(fix4, DEFAULT_CONFIG, seed=42, scale=4, n_shards=2,
+                         fetch_concurrency=2)
+    done.run(max_rounds=1)
+    crashed = CrashBeforeFirstCommit(
+        fix4, DEFAULT_CONFIG, seed=42, scale=4, n_shards=2,
+        fetch_concurrency=2, ckpt_dir=str(tmp_path / "ckpt"))
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        crashed.run()
+    for pipe in (done, crashed):
+        handles = pipe.shards + pipe._fetch_pool
+        assert len(handles) == 4
+        for a in handles:
+            with pytest.raises(RayActorError):
+                ray.get(a.__ray_ready__.remote(), timeout=60)
+
+
 def test_pages_failed_debug_sink(ray_session, fix4, tmp_path):
     """S10: validation-failed pages persist their raw HTML + error code as
     checkpoint fragments (reference writes debug/{errorCode}/{taskId}.html,

@@ -234,34 +234,37 @@ def test_crawl_delay_parsing_and_plumbing():
     assert sel["crawl_delay_ms"] == [250, 250]
 
 
-def test_fetch_worker_paces_robots_crawl_delay(tmp_path):
-    """A selection row carrying crawl_delay_ms paces same-domain fetches:
-    two URLs with a 150 ms delay must take >= 150 ms wall even with
-    politeness.delay_ms = 0."""
+def test_fetch_worker_paces_robots_crawl_delay(ray_session, tmp_path):
+    """A robots Crawl-delay paces same-domain fetches through the driver's
+    schedule, even with politeness.delay_ms = 0: `_select` stamps two
+    same-domain rows (crawl_delay_ms = 150) at least 150 ms apart, and the
+    fetch worker waits for each row's not_before_ts."""
     import time
+    from types import SimpleNamespace
 
-    import pyarrow as pa
+    import ray
 
+    from dumb_crawler_ray.pipelines.crawl import CrawlPipeline
     from dumb_crawler_ray.sources.synthweb import DEFAULT_CONFIG, write_fixture
     from dumb_crawler_ray.stages.fetch import FetchWorker
 
+    st = FrontierShardState(0, respect_robots=True, robots_fetcher=_fetcher(
+        {"https://d00.example.test/robots.txt":
+         _Resp(200, b"User-agent: *\nCrawl-delay: 0.15\n")}))
+    _insert(st, ["https://d00.example.test/", "https://d00.example.test/x"])
     fix = str(write_fixture(tmp_path / "fx", seed=42, scale=1))
     w = FetchWorker(fix, DEFAULT_CONFIG, seed=42, scale=1)
-    urls = ["https://d00.example.test/", "https://d00.example.test/x"]
-    batch = pa.table(
-        {"rank": pa.array([0, 1], pa.int64()),
-         "url_hash": pa.array(["h0", "h1"], pa.string()),
-         "url": pa.array(urls, pa.string()),
-         "domain": pa.array(["d00.example.test"] * 2, pa.string()),
-         "priority": pa.array([1, 1], pa.int64()),
-         "attempt": pa.array([0, 0], pa.int64()),
-         "round": pa.array([0, 0], pa.int64()),
-         "crawl_delay_ms": pa.array([150, 150], pa.int64())})
-    t0 = time.monotonic()
-    out = w(batch)
-    wall = time.monotonic() - t0
+    pipe = CrawlPipeline(fix, DEFAULT_CONFIG, seed=42, scale=1, n_shards=1)
+    # the shard answers in-process, through the object store like the actor
+    pipe.shards = [SimpleNamespace(select_candidates=SimpleNamespace(
+        remote=lambda *a: ray.put(st.select_candidates(*a))))]
+    sel = pipe._select()
+    assert sel.column("crawl_delay_ms").to_pylist() == [150, 150]
+    t0, t1 = sel.column("not_before_ts").to_pylist()
+    assert t1 - t0 >= 0.15
+    out = w(sel)
     assert len(out) == 2
-    assert wall >= 0.15  # second same-domain fetch waited for the delay
+    assert time.time() >= t1  # the second fetch waited for its stamp
 
 
 def test_transport_failure_never_blocks_the_crawl():
@@ -470,7 +473,10 @@ def test_robots_pool_fetches_once_per_domain_across_shards(ray_session,
          "domain": pa.array([u.split("/")[2] for u in urls], pa.string()),
          "tags": pa.array(["article"] * len(urls), pa.string()),
          "priority": pa.array([10] * len(urls), pa.int64())})
-    pipe._insert_candidates(cand)
+    msgs = {}
+    pipe._insert_candidates(cand, msgs)
+    assert len(msgs) == 4  # the salted hot domain reaches every shard
+    pipe._apply(msgs)
     # every shard holding hot-domain candidates consulted robots, but the
     # NETWORK (the pool) saw exactly one fetch per distinct domain
     stats = [ray.get(a.stats.remote()) for a in pipe.robots_pool]

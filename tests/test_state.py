@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
 from dumb_crawler_ray.pipelines import semantics as S
 from dumb_crawler_ray.state.bloom import BloomFilter
 from dumb_crawler_ray.state.cuckoo import CuckooFilter
-from dumb_crawler_ray.state.frontier import FrontierShardState, shard_of_batch
+from dumb_crawler_ray.state.frontier import (R_STATUS, FrontierShardState,
+                                             shard_of_batch)
 
 
 def _hashes(n, seed=0):
@@ -164,3 +166,66 @@ def test_shard_routing_salting():
     cold_ids = set(sids[8:])
     assert len(hot_ids) > 1      # hot domain salted across shards
     assert len(cold_ids) == 1    # cold domain sticks to one shard
+
+
+def _round_msg():
+    """One round's apply_round message for `_round_shard`: h3 is
+    schedule-disallowed (marked, never completed), img1 is stored twice
+    within the round and img0 in an earlier one, candidate h1 equals a
+    row just completed, and d03.example.test is a new robots domain."""
+    return {
+        "mark": ["h1", "h2", "h3"],
+        "complete": {"url_hash": ["h1", "h2"],
+                     "status": [S.PROCESSED, S.FAILED],
+                     "error": [None, "E"], "tags": [["t"], []],
+                     "attempt": [1, 1]},
+        "pages": ["h1", "h0"],
+        "images": ["img0", "img1", "img1"],
+        "cand": _rows([("https://d02.example.test/1", "h1",
+                        "d02.example.test", 5),
+                       ("https://d03.example.test/9", "h9",
+                        "d03.example.test", 2)]),
+        "maybe_seen": np.array([True, False]),
+    }
+
+
+def _round_shard(compact):
+    st = FrontierShardState(0, respect_robots=True, compact_terminal=compact)
+    st.insert_candidates(_rows([
+        (f"https://d02.example.test/{i}", f"h{i}", "d02.example.test", 6 - i)
+        for i in range(4)]))
+    st.note_stored(["h0"], ["img0"])  # an earlier round's stores
+    st.drain_robots_entries()
+    return st
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_apply_round_equals_sequential_calls(compact):
+    """apply_round(msg) is the five per-round shard calls in their order —
+    mark_selected → complete → note_stored → insert_candidates →
+    drain_robots_entries: identical records, heap, cuckoo, stored sets
+    and reply, with and without compact_terminal."""
+    seq, one = _round_shard(compact), _round_shard(compact)
+    msg = _round_msg()
+    seq.mark_selected(msg["mark"])
+    seq.complete(msg["complete"])
+    want = seq.note_stored(msg["pages"], msg["images"])
+    want.update(seq.insert_candidates(msg["cand"], msg["maybe_seen"]))
+    want["robots"] = seq.drain_robots_entries()
+    got = one.apply_round(_round_msg())
+    assert got == want
+    assert got["image_new"] == [False, True, False]
+    assert got["page_new"] == [True, False]
+    assert (got["discovered"], got["exact_probes"]) == (1, 1)
+    assert got["robots"] == [("d03.example.test", [], 0.0)]
+    assert one.records["h3"][R_STATUS] == S.PROCESSING
+    for a in ("records", "terminal", "heap", "stored_pages",
+              "stored_images", "counters", "robots_cache", "_robots_new"):
+        assert getattr(one, a) == getattr(seq, a), a
+    assert np.array_equal(one.cuckoo.table, seq.cuckoo.table)
+    assert (one.cuckoo.overflow, one.cuckoo.count) == \
+        (seq.cuckoo.overflow, seq.cuckoo.count)
+    # an empty message is a no-op write
+    assert one.apply_round({}) == {"page_new": [], "image_new": [],
+                                   "discovered": 0, "robots_denied": 0,
+                                   "exact_probes": 0, "robots": []}
