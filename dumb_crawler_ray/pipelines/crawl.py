@@ -6,7 +6,8 @@ Per round r:
              re-applies the cap globally (exactness for salted hot
              domains). A picked row's owner is the shard that offered it.
   2 FETCH    the selection is rank-sliced over a persistent FetchWorker
-             actor pool created once per run, one slice per actor —
+             actor pool created once per run, one slice per actor, each
+             slice and each reply one Arrow IPC stream buffer —
              render/validate/extract/tag/filter per page; page html +
              validated image rows stream to per-round parquet fragments
              from inside the workers.
@@ -14,14 +15,17 @@ Per round r:
              fetch outcomes, the stored pages/images, and the candidates
              (flattened in (rank, link_idx) order → first-occurrence per
              url_hash → bloom probe, whose negatives skip the exact lookup
-             → hash-routed). Each shard applies its message in ONE
-             `apply_round` call, exact insert-if-absent included.
+             → hash-routed, IPC-encoded). Each shard applies its message
+             in ONE `apply_round` call, exact insert-if-absent included.
   4 COMMIT   counter/lineage/order deltas, frontier deltas and the robots
              entries the replies carried go to the checkpoint; manifest
              advance (atomic rename) ⇒ exact resume at round granularity.
 
 The driver handles only O(batch) control rows per round — selection, small
-candidate columns, counters. All heavy payloads stay in the workers.
+candidate columns, counters. All heavy payloads stay in the workers. The
+round's tables cross actor calls as Arrow IPC `bytes` (`rayutil.to_ipc`),
+never as `pa.Table` objects: Ray's per-table Arrow reducer costs more than
+a few-row table carries.
 
 Scale levers (100 TB / 10^10-URL design): shard count P, scheduler batch
 k, fetch actor pool size, per-domain cap; the by-domain partitioning key is
@@ -49,7 +53,8 @@ import pyarrow.parquet as pq
 from ..config import JobConfig
 from ..functions.urlhash import hash64_batch
 from ..sources.synthweb import domains_for
-from ..rayutil import remote_kwargs
+from ..sources.warc import IMPORT_ROUND
+from ..rayutil import from_ipc, remote_kwargs, to_ipc
 from ..state.bloom import BloomFilter
 from ..state.frontier import make_frontier_actor, shard_of_batch
 from ..stages.fetch import FetchWorker
@@ -251,8 +256,9 @@ class CrawlPipeline:
                                        self.hot_domains)
         maybe_seen = self.bloom.contains_many(h64)
         for sid, idx in _groups(shard_ids):
-            msgs.setdefault(sid, {}).update(cand=cand.take(pa.array(idx)),
-                                            maybe_seen=maybe_seen[idx])
+            msgs.setdefault(sid, {}).update(
+                cand=to_ipc(cand.take(pa.array(idx))),
+                maybe_seen=maybe_seen[idx])
             self._lineage(sid)["candidates_in"] += len(idx)
         self.bloom.add_many(h64)
         self._ckpt_frontier_inserts(cand)
@@ -445,17 +451,19 @@ class CrawlPipeline:
         """Rank-slice the selection over the fetch pool, one call per
         actor (a FetchWorker runs its calls one at a time and overlaps
         RTT over its own fetch threads), and return the per-URL outcomes
-        in rank order."""
+        in rank order. Each slice goes out, and each actor's outcomes come
+        back, as one Arrow IPC stream buffer."""
         import ray
 
         pool = self._fetch_pool
         n_chunks = min(len(selection), len(pool)) or 1
         step = -(-len(selection) // n_chunks)
         refs = [
-            pool[j].__call__.remote(selection.slice(i, step))
+            pool[j].__call__.remote(to_ipc(selection.slice(i, step)))
             for j, i in enumerate(range(0, len(selection), step))
         ]
-        return pa.concat_tables(ray.get(refs)).sort_by("rank")
+        return pa.concat_tables(
+            [from_ipc(b) for b in ray.get(refs)]).sort_by("rank")
 
     def _harvest(self, result: pa.Table):
         """Apply fetch outcomes in rank order: counters, storage bookkeeping,
@@ -628,10 +636,7 @@ class CrawlPipeline:
             [int(self._round_wall_ms)] * len(sids), pa.int64()
         )
         t = pa.table(cols)
-        path = os.path.join(d, f"round={self.round:06d}.parquet")
-        if os.path.exists(path):  # defensive: merge if a round re-commits
-            t = pa.concat_tables([pq.read_table(path), t])
-        pq.write_table(t, path)
+        pq.write_table(t, os.path.join(d, f"round={self.round:06d}.parquet"))
         self._lineage_acc = {}
 
     # -------------------------------------------------------- checkpoint
@@ -840,7 +845,15 @@ class CrawlPipeline:
             restored = self._ckpt_restore()
         if not restored:
             if self.ckpt_dir:
+                # a fresh crawl into a used directory starts clean: the
+                # manifest goes first (a crash mid-clean leaves nothing to
+                # resume), then every crawl round >= -1; WARC-imported
+                # pages (round IMPORT_ROUND) stay
                 os.makedirs(self.ckpt_dir, exist_ok=True)
+                mpath = self._ckpt_path("manifest.json")
+                if os.path.exists(mpath):
+                    os.remove(mpath)
+                self._ckpt_clean_uncommitted(IMPORT_ROUND)
             # the seed phase commits under its OWN round id (-1) so a crash
             # mid-first-round can never leave uncommitted round-0 fragments
             # that the seed-only manifest would replay (_ckpt_clean_uncommitted

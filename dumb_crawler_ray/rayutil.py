@@ -4,6 +4,25 @@ from __future__ import annotations
 
 import os
 
+import pyarrow as pa
+
+
+def to_ipc(table: pa.Table) -> bytes:
+    """``table`` as one Arrow IPC stream buffer — the form a round's small
+    tables cross an actor call in. Ray pickles ``bytes`` as one buffer,
+    where a ``pa.Table`` goes through Ray's Arrow reducer, which walks
+    every column, chunk and buffer and costs far more than a 4–200-row
+    table carries."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return sink.getvalue().to_pybytes()
+
+
+def from_ipc(buf: bytes) -> pa.Table:
+    """The table `to_ipc` encoded; its columns view ``buf`` (zero-copy)."""
+    return pa.ipc.open_stream(buf).read_all()
+
 
 def pkg_parent_dir() -> str:
     import dumb_crawler_ray

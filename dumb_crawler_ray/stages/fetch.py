@@ -3,7 +3,9 @@
 One FetchWorker instance per actor of the pipeline's persistent fetch pool;
 construction loads the synthetic web (the sandbox "network", SURVEY.md S3)
 and compiles every config-derived operator ONCE (`__init__`), then
-`__call__` processes Arrow batches:
+`__call__` processes one selection slice. Its input and its output are
+each one Arrow IPC stream buffer (`rayutil.to_ipc`), so no `pa.Table`
+crosses the actor call:
 
   input  rows: rank, url_hash, url, domain, attempt, round, not_before_ts
   output rows: rank, url_hash, url, attempt, schedule_allowed, error,
@@ -36,6 +38,7 @@ import pyarrow.parquet as pq
 
 from ..config import JobConfig
 from ..pipelines import semantics as S
+from ..rayutil import from_ipc, to_ipc
 from ..sources.httpweb import FetchTransportError
 from ..sources.synthweb import SynthWeb
 
@@ -165,7 +168,9 @@ class FetchWorker:
 
             self.web = HttpWeb.from_config(self.cfg)
         else:
-            pages = pq.read_table(os.path.join(fixture_dir, "pages.parquet"))
+            with pq.ParquetFile(
+                    os.path.join(fixture_dir, "pages.parquet")) as f:
+                pages = f.read()
             self.web = SynthWeb(pages, seed, scale)
         # SHARDED image store (verdict r3 #3): ``images_shards`` is a list
         # of range-pruned shard descriptors (ObjectRef, lo, hi) — the
@@ -263,10 +268,12 @@ class FetchWorker:
                     out[iid] = {c: col[i].as_py() for c, col in cols.items()}
         return out
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        """Process one selection slice: one Arrow table with the per-page
-        candidate lists inline, each candidate carrying its precomputed
-        hash64 and owning frontier shard."""
+    def __call__(self, slice_ipc: bytes) -> bytes:
+        """Process one IPC-encoded selection slice into one IPC-encoded
+        table of outcomes with the per-page candidate lists inline, each
+        candidate carrying its precomputed hash64 and owning frontier
+        shard."""
+        batch = from_ipc(slice_ipc)
         urls = batch.column("url").to_pylist()
         ranks = batch.column("rank").to_pylist()
         hashes = batch.column("url_hash").to_pylist()
@@ -432,7 +439,7 @@ class FetchWorker:
         self._write_fragments(rnd, page_rows, image_rows, failed_rows)
         n_bad = Counter(r["rank"] for r in image_rows if r["validation_error"])
         out["image_errors"] = [n_bad[r] for r in ranks]
-        return _to_arrow(out)
+        return to_ipc(_to_arrow(out))
 
     def _write_fragments(self, rnd: int, page_rows, image_rows,
                          failed_rows=()) -> None:

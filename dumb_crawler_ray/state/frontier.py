@@ -43,6 +43,7 @@ from collections import Counter
 import numpy as np
 
 from ..pipelines import semantics as S
+from ..rayutil import from_ipc
 from .cuckoo import CuckooFilter
 
 # record tuple indexes
@@ -189,10 +190,10 @@ class FrontierShardState:
         """Insert-if-absent for a routed candidate batch.
 
         ``rows``: a pa.Table (url, url_hash, domain, tags, priority,
-        hash64) — zero-copy from the driver's object-store put — or a
-        columnar dict of lists with the same keys. ``maybe_seen``: bloom
-        verdicts — False is authoritative "new", so the exact probe is
-        skipped for those rows (the 10^10-scale fast path).
+        hash64) or a columnar dict of lists with the same keys.
+        ``maybe_seen``: bloom verdicts — False is authoritative "new", so
+        the exact probe is skipped for those rows (the 10^10-scale fast
+        path).
         Returns counter deltas {discovered, robots_denied, exact_probes}.
         """
         if not isinstance(rows, dict):
@@ -375,7 +376,9 @@ class FrontierShardState:
           mark            url_hashes the driver selected from this shard
           complete        fetch outcome rows (see `complete`)
           pages, images   stored page hashes / image ids, in store order
-          cand, maybe_seen   routed candidate batch + its bloom verdicts
+          cand, maybe_seen   routed candidate batch as one Arrow IPC
+                          stream buffer (`rayutil.to_ipc`; columns as in
+                          `insert_candidates`) + its bloom verdicts
 
         Exact because nothing touches a shard between its
         `select_candidates` peek and this call. Returns the `note_stored`
@@ -384,8 +387,9 @@ class FrontierShardState:
         if "complete" in msg:
             self.complete(msg["complete"])
         out = self.note_stored(msg.get("pages", ()), msg.get("images", ()))
-        out.update(self.insert_candidates(msg.get("cand", {"url_hash": ()}),
-                                          msg.get("maybe_seen")))
+        out.update(self.insert_candidates(
+            from_ipc(msg["cand"]) if "cand" in msg else {"url_hash": ()},
+            msg.get("maybe_seen")))
         out["robots"] = self.drain_robots_entries()
         return out
 

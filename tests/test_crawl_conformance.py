@@ -4,6 +4,7 @@ parallelism level (SURVEY.md §5.2, BASELINE.json north_rule)."""
 
 import logging
 
+import numpy as np
 import pytest
 
 from dumb_crawler_ray.pipelines import oracle
@@ -413,7 +414,9 @@ class _Counted:
 
         def remote(*args, **kwargs):
             self._pipe.calls.append((self._pipe.round, self._who, meth))
-            return method.remote(*args, **kwargs)
+            ref = method.remote(*args, **kwargs)
+            self._pipe.sent.append((meth, args, kwargs, ref))
+            return ref
 
         return SimpleNamespace(remote=remote)
 
@@ -424,6 +427,7 @@ class _CountingPipeline(CrawlPipeline):
 
     def _crawl(self, max_rounds):
         self.calls = []
+        self.sent = []  # (method, args, kwargs, reply ref) per call
         real = self.shards, self._fetch_pool
         self.shards = [_Counted(self, ("shard", i), h)
                        for i, h in enumerate(real[0])]
@@ -435,16 +439,22 @@ class _CountingPipeline(CrawlPipeline):
             self.shards, self._fetch_pool = real
 
 
-def test_one_read_one_write_per_shard_per_round(ray_session, fix4):
+@pytest.fixture(scope="module")
+def counted_crawl(ray_session, fix4):
+    """One full crawl through counting shard and fetch handles."""
+    pipe = _CountingPipeline(fix4, DEFAULT_CONFIG, seed=42, scale=4,
+                             n_shards=4, fetch_concurrency=3)
+    return pipe, pipe.run()
+
+
+def test_one_read_one_write_per_shard_per_round(counted_crawl):
     """Per round each frontier shard gets exactly one select_candidates
     and at most one apply_round, and each fetch actor at most one call;
     the seed phase (round -1) is one apply_round per shard at most. The
     crawl still matches the oracle."""
     from collections import Counter
 
-    pipe = _CountingPipeline(fix4, DEFAULT_CONFIG, seed=42, scale=4,
-                             n_shards=4, fetch_concurrency=3)
-    res = pipe.run()
+    pipe, res = counted_crawl
     assert_match(res, oracle.simulate(DEFAULT_CONFIG, SynthWeb.generate(42, 4)))
     n = Counter(pipe.calls)
     assert {m for _, _, m in pipe.calls} == {
@@ -460,3 +470,61 @@ def test_one_read_one_write_per_shard_per_round(ray_session, fix4):
     assert max(n.get((r, ("fetch", j), "__call__"), 0)
                for r in range(res.rounds) for j in range(3)) == 1
     assert max(fetches.values()) == 3  # full rounds use every actor
+
+
+def _plain(v) -> bool:
+    """True when ``v`` holds only bytes, Python scalars, numpy values and
+    containers of them — no Arrow object."""
+    if isinstance(v, (list, tuple, set, frozenset)):
+        return all(_plain(x) for x in v)
+    if isinstance(v, dict):
+        return all(_plain(k) and _plain(x) for k, x in v.items())
+    return v is None or isinstance(
+        v, (bytes, str, int, float, np.ndarray, np.generic))
+
+
+def test_round_actor_calls_carry_no_arrow_tables(counted_crawl):
+    """Every argument and reply of the crawl's shard and fetch calls is
+    bytes or plain Python/numpy: a fetch slice and its outcomes, and a
+    shard message's candidates, cross as Arrow IPC bytes, never as a
+    pa.Table."""
+    from collections import Counter
+
+    import ray
+
+    pipe, res = counted_crawl
+    replies = ray.get([ref for *_, ref in pipe.sent])
+    n = Counter()
+    for (meth, args, kwargs, _), reply in zip(pipe.sent, replies):
+        assert _plain(args) and _plain(kwargs) and _plain(reply), meth
+        if meth == "__call__":
+            assert type(args[0]) is bytes and type(reply) is bytes
+            n["fetch"] += 1
+        elif meth == "apply_round" and "cand" in args[0]:
+            assert type(args[0]["cand"]) is bytes
+            n["cand"] += 1
+    assert n["fetch"] >= res.rounds and n["cand"] >= res.rounds
+
+
+def test_ipc_round_trip():
+    """to_ipc → from_ipc gives back the same table: sliced at a non-zero
+    offset, empty, with null strings, nested lists and int64 extremes."""
+    import pyarrow as pa
+
+    from dumb_crawler_ray.rayutil import from_ipc, to_ipc
+
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    t = pa.table({
+        "s": pa.array(["a", None, "ccc", None, ""], pa.string()),
+        "i": pa.array([lo, -1, 0, 1, hi], pa.int64()),
+        "ll": pa.array([[["x", None], []], None, [[]], [["y"], ["z", "w"]],
+                        []], pa.list_(pa.list_(pa.string()))),
+    })
+    for part in (t, t.slice(2, 3), t.slice(1, 1), t.slice(4, 0)):
+        buf = to_ipc(part)
+        assert type(buf) is bytes
+        back = from_ipc(buf)
+        assert back.schema == part.schema
+        assert back.equals(part)
+        assert back.to_pylist() == part.to_pylist()
+    assert from_ipc(to_ipc(t.slice(2, 3))).column("i").to_pylist() == [0, 1, hi]

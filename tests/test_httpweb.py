@@ -128,6 +128,7 @@ def test_charset_decoding_defaults_to_latin1():
 def test_fetch_worker_http_mode_maps_transport_error(tmp_path):
     """FetchWorker in fetcher.mode=http: a dead transport yields
     HTML_RENDERING_ERROR rows (terminal failure), never a crash."""
+    from dumb_crawler_ray.rayutil import from_ipc, to_ipc
     from dumb_crawler_ray.stages.fetch import FetchWorker
 
     cfg = {"fetcher": {"mode": "http"},
@@ -146,7 +147,7 @@ def test_fetch_worker_http_mode_maps_transport_error(tmp_path):
             "round": pa.array([0], pa.int64()),
         }
     )
-    out = w(batch)
+    out = from_ipc(w(to_ipc(batch)))
     assert out.column("error").to_pylist() == ["HTML_RENDERING_ERROR"]
     assert out.column("store_ok").to_pylist() == [False]
 

@@ -141,6 +141,63 @@ def test_resume_after_crash_mid_first_round(ray_session, fix4, tmp_path):
     assert res.stored_pages == orc.stored_pages
 
 
+def test_fresh_run_into_used_ckpt_dir_starts_clean(ray_session, fix4,
+                                                   tmp_path):
+    """A run without resume into a directory an earlier crawl used leaves
+    the fragment and lineage-row counts of ONE crawl (the earlier crawl's
+    uuid-named fragments and lineage rows are gone), keeps WARC-imported
+    pages (round IMPORT_ROUND), and a resume of it matches the oracle."""
+    import pyarrow as pa
+
+    from dumb_crawler_ray.sources.warc import (IMPORT_ROUND, import_warc,
+                                               write_warc)
+
+    ckpt = tmp_path / "ckpt_reused"
+    (tmp_path / "warc").mkdir()
+    write_warc([("https://site.test/x-1", "<html>x</html>")],
+               str(tmp_path / "warc" / "a.warc"))
+    assert import_warc(str(tmp_path / "warc"), str(ckpt)) == 1
+    imported = ckpt / "pages" / f"round={IMPORT_ROUND}"
+    import_files = sorted(os.listdir(imported))
+
+    def footprint():
+        out = {}
+        for sub in ("pages", "images", "pages_failed"):
+            base = ckpt / sub
+            out[sub] = sum(len(os.listdir(base / n))
+                           for n in os.listdir(base)
+                           if n != f"round={IMPORT_ROUND}")
+        lineage = [pq.read_table(ckpt / "lineage" / n)
+                   for n in os.listdir(ckpt / "lineage")]
+        out["lineage_rows"] = pa.concat_tables(lineage).num_rows
+        return out
+
+    def crawl(**kw):
+        return CrawlPipeline(fix4, DEFAULT_CONFIG, seed=42, scale=4,
+                             n_shards=2, fetch_concurrency=2,
+                             ckpt_dir=str(ckpt), **kw)
+
+    crawl().run(max_rounds=3)
+    once = footprint()
+    assert once["pages"] > 0 and once["lineage_rows"] > 0
+    crawl().run(max_rounds=3)
+    assert footprint() == once
+    assert sorted(os.listdir(imported)) == import_files
+
+    orc = oracle.simulate(DEFAULT_CONFIG, SynthWeb.generate(42, 4))
+    res = crawl(resume=True).run()
+    assert res.crawl_order == orc.crawl_order
+    assert res.seen_set == orc.seen_set
+    assert res.counters == orc.counters
+    assert res.stored_images == orc.stored_images
+    # restore rebuilds stored_pages from every pages fragment, so the
+    # imported page leads the list
+    imp = {h for n in import_files
+           for h in pq.read_table(imported / n).column("url_hash").to_pylist()}
+    assert res.stored_pages[:len(imp)] == sorted(imp)
+    assert res.stored_pages[len(imp):] == orc.stored_pages
+
+
 def test_run_releases_its_actors(ray_session, fix4, tmp_path):
     """run() ends the frontier shards and the fetch pool it started, both
     when it returns and when it raises (here: a crash before the round-0

@@ -245,6 +245,7 @@ def test_fetch_worker_paces_robots_crawl_delay(ray_session, tmp_path):
     import ray
 
     from dumb_crawler_ray.pipelines.crawl import CrawlPipeline
+    from dumb_crawler_ray.rayutil import from_ipc, to_ipc
     from dumb_crawler_ray.sources.synthweb import DEFAULT_CONFIG, write_fixture
     from dumb_crawler_ray.stages.fetch import FetchWorker
 
@@ -262,7 +263,7 @@ def test_fetch_worker_paces_robots_crawl_delay(ray_session, tmp_path):
     assert sel.column("crawl_delay_ms").to_pylist() == [150, 150]
     t0, t1 = sel.column("not_before_ts").to_pylist()
     assert t1 - t0 >= 0.15
-    out = w(sel)
+    out = from_ipc(w(to_ipc(sel)))
     assert len(out) == 2
     assert time.time() >= t1  # the second fetch waited for its stamp
 

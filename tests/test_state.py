@@ -1,7 +1,9 @@
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from dumb_crawler_ray.pipelines import semantics as S
+from dumb_crawler_ray.rayutil import from_ipc, to_ipc
 from dumb_crawler_ray.state.bloom import BloomFilter
 from dumb_crawler_ray.state.cuckoo import CuckooFilter
 from dumb_crawler_ray.state.frontier import (R_STATUS, FrontierShardState,
@@ -181,10 +183,10 @@ def _round_msg():
                      "attempt": [1, 1]},
         "pages": ["h1", "h0"],
         "images": ["img0", "img1", "img1"],
-        "cand": _rows([("https://d02.example.test/1", "h1",
-                        "d02.example.test", 5),
-                       ("https://d03.example.test/9", "h9",
-                        "d03.example.test", 2)]),
+        "cand": to_ipc(pa.table(_rows([("https://d02.example.test/1", "h1",
+                                        "d02.example.test", 5),
+                                       ("https://d03.example.test/9", "h9",
+                                        "d03.example.test", 2)]))),
         "maybe_seen": np.array([True, False]),
     }
 
@@ -210,7 +212,8 @@ def test_apply_round_equals_sequential_calls(compact):
     seq.mark_selected(msg["mark"])
     seq.complete(msg["complete"])
     want = seq.note_stored(msg["pages"], msg["images"])
-    want.update(seq.insert_candidates(msg["cand"], msg["maybe_seen"]))
+    want.update(seq.insert_candidates(from_ipc(msg["cand"]),
+                                      msg["maybe_seen"]))
     want["robots"] = seq.drain_robots_entries()
     got = one.apply_round(_round_msg())
     assert got == want
