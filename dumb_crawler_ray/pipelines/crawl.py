@@ -30,12 +30,14 @@ a few-row table carries.
 Scale levers (100 TB / 10^10-URL design): shard count P, scheduler batch
 k, fetch actor pool size, per-domain cap; the by-domain partitioning key is
 reused for politeness, robots caching and the seen-set, so no stage needs
-a shuffle. Candidates take one path: workers precompute hash64 + owning
-shard, the driver flattens them in pinned order, dedups first-occurrence,
-probes its bloom and routes each shard its slice (`_insert_candidates`
-fills the round's `apply_round` messages). A worker → object store → shard
-route that kept candidates off the driver was measured slower at every
-scale tried (BENCH/STRESS.md) and removed.
+a shuffle. Candidates take one path in one form: fetch workers, the seed
+path and restore all build a `candidate_table` (state/frontier.py), the
+only code that computes a row's hash64 and owning shard; the driver
+flattens the replies' `cand` lists in pinned order, dedups
+first-occurrence, probes its bloom and routes each shard its slice
+(`_insert_candidates` fills the round's `apply_round` messages). A
+worker → object store → shard route that kept candidates off the driver
+was measured slower at every scale tried (BENCH/STRESS.md) and removed.
 """
 
 from __future__ import annotations
@@ -51,12 +53,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..config import JobConfig
-from ..functions.urlhash import hash64_batch
 from ..sources.synthweb import domains_for
 from ..sources.warc import IMPORT_ROUND
 from ..rayutil import from_ipc, remote_kwargs, to_ipc
 from ..state.bloom import BloomFilter
-from ..state.frontier import make_frontier_actor, shard_of_batch
+from ..state.frontier import candidate_table, make_frontier_actor
 from ..stages.fetch import FetchWorker
 from . import semantics as S
 
@@ -201,31 +202,19 @@ class CrawlPipeline:
             for i in range(self.n_shards)
         ]
 
-    def _insert_candidates(self, cand, msgs: dict):
+    def _insert_candidates(self, cand: pa.Table, msgs: dict):
         """Dedup (first-occurrence, pinned), bloom probe, route: each
         shard's slice goes into its round message in ``msgs`` (shard id →
         `apply_round` message); `_apply` sends it.
 
-        ``cand``: pa.Table (url, url_hash, domain, tags, priority) in the
-        pinned candidate order, or a plain dict of lists (seed path). All
-        driver work here is vectorized (Arrow kernels / pandas dedup /
-        numpy routing) — this is on the per-round critical path and must
-        not grow with cluster size."""
+        ``cand``: a `candidate_table` in the pinned candidate order, so
+        every row already carries its hash64 and owning shard. All driver
+        work here is vectorized (Arrow kernels / pandas dedup / numpy
+        routing) — this is on the per-round critical path and must not
+        grow with cluster size."""
         import pandas as pd
         import pyarrow.compute as pc
 
-        if isinstance(cand, dict):
-            cand = pa.table(
-                {
-                    "url": pa.array(cand["url"], pa.string()),
-                    "url_hash": pa.array(cand["url_hash"], pa.string()),
-                    "domain": pa.array(cand["domain"], pa.string()),
-                    "tags": pa.array(cand["tags"], pa.list_(pa.string())),
-                    "priority": pa.array(
-                        [int(p) for p in cand["priority"]], pa.int64()
-                    ),
-                }
-            )
         n = len(cand)
         if n == 0:
             return
@@ -237,25 +226,12 @@ class CrawlPipeline:
         if n_http < n:
             cand = cand.filter(http_mask)
         # first-occurrence-wins per url_hash (input already in pinned order)
-        hashes_np = np.asarray(cand.column("url_hash").to_pylist(), dtype=object)
-        dup = pd.Series(hashes_np).duplicated().to_numpy()
+        dup = pd.Series(cand.column("url_hash").to_pylist()).duplicated()
         if dup.any():
-            keep = ~dup
-            cand = cand.filter(pa.array(keep))
-            hashes_np = hashes_np[keep]
-        if "hash64" in cand.column_names:
-            # fetch workers precomputed hash64 + routing (parallel)
-            h64 = cand.column("hash64").to_numpy()
-            shard_ids = cand.column("shard").to_numpy()
-            cand = cand.drop_columns(["shard"])
-        else:  # seed / restore path: columns not precomputed
-            h64 = hash64_batch(hashes_np)
-            cand = cand.append_column("hash64", pa.array(h64, pa.int64()))
-            shard_ids = shard_of_batch(cand.column("domain").to_pylist(),
-                                       hashes_np, self.n_shards,
-                                       self.hot_domains)
+            cand = cand.filter(pa.array(~dup.to_numpy()))
+        h64 = cand.column("hash64").to_numpy()
         maybe_seen = self.bloom.contains_many(h64)
-        for sid, idx in _groups(shard_ids):
+        for sid, idx in _groups(cand.column("shard").to_numpy()):
             msgs.setdefault(sid, {}).update(
                 cand=to_ipc(cand.take(pa.array(idx))),
                 maybe_seen=maybe_seen[idx])
@@ -270,15 +246,11 @@ class CrawlPipeline:
         tags_list, prio, hashes, _a, _na, _ni = self.comp.analyze_urls(seeds)
         msgs: dict[int, dict] = {}
         self._insert_candidates(
-            {
-                "url": list(seeds),
-                "url_hash": hashes,
-                "domain": [self.comp.domain_of(u) for u in seeds],
-                "tags": [[S.SEED_TAG] + t for t in tags_list],
-                "priority": [int(p) for p in prio],
-            },
-            msgs,
-        )
+            candidate_table(seeds, hashes,
+                            [self.comp.domain_of(u) for u in seeds],
+                            [[S.SEED_TAG] + t for t in tags_list], prio,
+                            self.n_shards, self.hot_domains),
+            msgs)
         self._apply(msgs)
 
     def _apply(self, msgs: dict) -> dict:
@@ -451,8 +423,10 @@ class CrawlPipeline:
         """Rank-slice the selection over the fetch pool, one call per
         actor (a FetchWorker runs its calls one at a time and overlaps
         RTT over its own fetch threads), and return the per-URL outcomes
-        in rank order. Each slice goes out, and each actor's outcomes come
-        back, as one Arrow IPC stream buffer."""
+        in rank order: the slices are contiguous rank ranges and the
+        replies are concatenated in slice order, so no sort is needed.
+        Each slice goes out, and each actor's outcomes come back, as one
+        Arrow IPC stream buffer."""
         import ray
 
         pool = self._fetch_pool
@@ -462,8 +436,7 @@ class CrawlPipeline:
             pool[j].__call__.remote(to_ipc(selection.slice(i, step)))
             for j, i in enumerate(range(0, len(selection), step))
         ]
-        return pa.concat_tables(
-            [from_ipc(b) for b in ray.get(refs)]).sort_by("rank")
+        return pa.concat_tables([from_ipc(b) for b in ray.get(refs)])
 
     def _harvest(self, result: pa.Table):
         """Apply fetch outcomes in rank order: counters, storage bookkeeping,
@@ -473,9 +446,10 @@ class CrawlPipeline:
 
         Vectorized throughout (Arrow filters/flatten + numpy masks): the
         only remaining Python loops are over this round's rows. The
-        per-page candidate lists are never expanded into Python row dicts —
+        per-page `cand` lists are never expanded into Python row dicts —
         `pc.list_flatten` concatenates them in (rank, link-idx) order,
-        which is exactly the pinned candidate order."""
+        which is exactly the pinned candidate order, into one
+        `candidate_table`."""
         import pyarrow.compute as pc
 
         n = len(result)
@@ -554,21 +528,9 @@ class CrawlPipeline:
         self._ckpt_updates(completes, order_rows)
         # candidates: empty lists on skipped/failed rows make flatten-all
         # exactly the success candidates in pinned order
-        cand = pa.table(
-            {
-                "url": pc.list_flatten(result.column("cand_url")),
-                "url_hash": pc.list_flatten(result.column("cand_hash")),
-                "domain": pc.list_flatten(result.column("cand_domain")),
-                "tags": pc.list_flatten(result.column("cand_tags")),
-                "priority": pc.list_flatten(result.column("cand_priority")),
-                # worker-precomputed (parallel) — the driver's serial
-                # insert path skips rehash + re-route entirely
-                "hash64": pc.list_flatten(result.column("cand_h64")),
-                "shard": pc.list_flatten(result.column("cand_shard")),
-            }
-        )
-        if len(cand):
-            self._insert_candidates(cand, msgs)
+        flat = pc.list_flatten(result.column("cand"))
+        if len(flat):
+            self._insert_candidates(pa.Table.from_struct_array(flat), msgs)
         replies = self._apply(msgs)
         if stored is None:
             return
@@ -791,9 +753,11 @@ class CrawlPipeline:
     def _restore_result_lists(self):
         """Ordered crawl_order / stored_pages / stored_images for the
         CrawlResult contract, derived from the checkpoint tables (the
-        manifest carries none of them). Store order within a round is
-        rank order; rows sharing a rank (one page's images) live in one
-        fragment, so a STABLE sort preserves their intra-page order."""
+        manifest carries none of them) of the crawl's own rounds — WARC
+        imports (IMPORT_ROUND) were never stored by this crawl. Store
+        order within a round is rank order; rows sharing a rank (one
+        page's images) live in one fragment, so a STABLE sort preserves
+        their intra-page order."""
         from ..state.ckptio import read_round, round_entries
 
         self.crawl_order = []
@@ -804,7 +768,7 @@ class CrawlPipeline:
         def first_occurrence(base: str, col: str) -> list:
             out: list = []
             seen: set = set()
-            for _rnd, path in round_entries(base):
+            for _rnd, path in round_entries(base, after=IMPORT_ROUND):
                 t = read_round(path, columns=[col, "rank"])
                 order = np.argsort(t.column("rank").to_numpy(), kind="stable")
                 for v in np.asarray(t.column(col).to_pylist(),

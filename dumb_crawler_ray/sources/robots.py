@@ -140,12 +140,6 @@ class RobotsFetcher:
     def rules_for(self, domain: str, scheme: str = "http") -> list[str]:
         return self.fetch_rules_full(domain, scheme)[0]
 
-    def fetch_rules(self, domain: str,
-                    scheme: str = "http") -> tuple[list[str], float]:
-        """(rules, Crawl-delay seconds) for `domain` (legacy 2-tuple)."""
-        rules, delay, _transient = self.fetch_rules_full(domain, scheme)
-        return rules, delay
-
     def fetch_rules_full(self, domain: str,
                          scheme: str = "http") -> tuple[list[str], float, bool]:
         """(rules, Crawl-delay seconds, transient) for `domain`.

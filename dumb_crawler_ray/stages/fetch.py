@@ -8,10 +8,12 @@ each one Arrow IPC stream buffer (`rayutil.to_ipc`), so no `pa.Table`
 crosses the actor call:
 
   input  rows: rank, url_hash, url, domain, attempt, round, not_before_ts
-  output rows: rank, url_hash, url, attempt, schedule_allowed, error,
-               store_ok, tags (list), image_ids (list),
-               n_links_allowed, n_links_ignored,
-               cand_* (flattened per-page allowed candidate links)
+  output rows: rank, url_hash, url, domain, attempt, schedule_allowed,
+               error, store_ok, tags (list), image_ids (list),
+               image_errors, too_many_links, n_links_allowed,
+               n_links_ignored, cand (list<struct>: the page's kept
+               candidate links as `candidate_table` rows, hash64 and
+               owning frontier shard included)
 
 Heavy payloads (page html, image bytes) are written to the checkpoint
 directory *from inside the stage* as per-round parquet fragments — they
@@ -41,6 +43,7 @@ from ..pipelines import semantics as S
 from ..rayutil import from_ipc, to_ipc
 from ..sources.httpweb import FetchTransportError
 from ..sources.synthweb import SynthWeb
+from ..state.frontier import candidate_table
 
 
 PAGES_SCHEMA = pa.schema(
@@ -151,9 +154,10 @@ class FetchWorker:
                  images_shards=None, proxy_api_key: str | None = None,
                  fetch_threads: int = 1, n_shards: int = 1,
                  hot_domains: frozenset = frozenset()):
-        # n_shards/hot_domains: frontier routing — workers precompute each
-        # candidate's hash64 + owning shard (vectorized, in parallel) so
-        # the driver's serial insert path never rehashes or re-routes
+        # n_shards/hot_domains: frontier routing for `candidate_table` —
+        # workers build the candidates' hash64 + owning shard (vectorized,
+        # in parallel) so the driver's serial insert path never rehashes
+        # or re-routes
         self.n_shards = max(1, int(n_shards))
         self.hot_domains = hot_domains
         self.cfg = JobConfig(config_raw)
@@ -270,9 +274,8 @@ class FetchWorker:
 
     def __call__(self, slice_ipc: bytes) -> bytes:
         """Process one IPC-encoded selection slice into one IPC-encoded
-        table of outcomes with the per-page candidate lists inline, each
-        candidate carrying its precomputed hash64 and owning frontier
-        shard."""
+        table of outcomes whose `cand` column holds each page's kept
+        candidate links as `candidate_table` rows."""
         batch = from_ipc(slice_ipc)
         urls = batch.column("url").to_pylist()
         ranks = batch.column("rank").to_pylist()
@@ -293,13 +296,6 @@ class FetchWorker:
             "image_ids": [[] for _ in range(n)],
             "n_links_allowed": [0] * n, "n_links_ignored": [0] * n,
             "too_many_links": [False] * n,
-            "cand_url": [[] for _ in range(n)],
-            "cand_hash": [[] for _ in range(n)],
-            "cand_domain": [[] for _ in range(n)],
-            "cand_tags": [[] for _ in range(n)],
-            "cand_priority": [[] for _ in range(n)],
-            "cand_h64": [[] for _ in range(n)],
-            "cand_shard": [[] for _ in range(n)],
         }
         page_rows = []
         image_rows = []
@@ -310,10 +306,8 @@ class FetchWorker:
         # GIL; results are consumed in input-index order so outcomes are
         # bit-identical at any thread count)
         # driver-scheduled domain-GLOBAL politeness stamps (crawl.py
-        # _select); a batch without them is not paced
-        not_before = (
-            batch.column("not_before_ts").to_pylist()
-            if "not_before_ts" in batch.column_names else [0.0] * n)
+        # _select)
+        not_before = batch.column("not_before_ts").to_pylist()
 
         def fetch_one(i: int):
             import time
@@ -363,62 +357,43 @@ class FetchWorker:
                 out["store_ok"][i] = True
                 out["image_ids"][i] = image_ids
                 stored.append((i, image_ids, html))
-        # pass 2: ONE vectorized link analysis for the whole batch
+        # pass 2: ONE vectorized link analysis for the whole batch; the
+        # kept links of every page, in (rank, link idx) order, become ONE
+        # candidate table, carried per page as the reply's `cand` lists
         flat_links = [l for _, links in page_links for l in links]
-        if flat_links:
-            ltags, lprio, lhash, lallow, _na, _ni = self.comp.analyze_urls(flat_links)
-            pos = 0
-            # batch-local first-occurrence dedup (pinned order): the driver
-            # re-applies the same rule globally over chunks in rank order,
-            # so dropping later duplicates HERE cannot change which
-            # occurrence wins — it only shrinks the result transfer and
-            # the frontier-shard insert volume (most links repeat within a
-            # chunk). Link counters stay pre-dedup (reference counts every
-            # allowed/ignored link, dedup happens at insert).
-            batch_seen: set = set()
-            kept_pages: list[tuple[int, int]] = []  # (page row, n kept)
-            flat_hash: list[str] = []
-            flat_dom: list[str] = []
-            for i, links in page_links:
-                m = len(links)
-                sl = slice(pos, pos + m)
-                pos += m
-                allow = lallow[sl]
-                out["n_links_allowed"][i] = int(allow.sum())
-                out["n_links_ignored"][i] = int(m - allow.sum())
-                keep = []
-                for j in np.flatnonzero(allow) + sl.start:
-                    h = lhash[j]
-                    if h in batch_seen:
-                        continue
-                    batch_seen.add(h)
+        ltags, lprio, lhash, lallow, _na, _ni = self.comp.analyze_urls(flat_links)
+        # batch-local first-occurrence dedup (pinned order): the driver
+        # re-applies the same rule globally over chunks in rank order, so
+        # dropping later duplicates HERE cannot change which occurrence
+        # wins — it only shrinks the result transfer and the frontier-shard
+        # insert volume (most links repeat within a chunk). Link counters
+        # stay pre-dedup (reference counts every allowed/ignored link,
+        # dedup happens at insert).
+        batch_seen: set = set()
+        keep: list[int] = []
+        n_kept = [0] * (n + 1)  # n_kept[i + 1]: kept links of row i
+        pos = 0
+        for i, links in page_links:
+            allow = lallow[pos:pos + len(links)]
+            n_allow = int(allow.sum())
+            out["n_links_allowed"][i] = n_allow
+            out["n_links_ignored"][i] = len(links) - n_allow
+            for j in np.flatnonzero(allow) + pos:
+                if lhash[j] not in batch_seen:
+                    batch_seen.add(lhash[j])
                     keep.append(j)
-                out["cand_url"][i] = [flat_links[j] for j in keep]
-                out["cand_hash"][i] = [lhash[j] for j in keep]
-                out["cand_domain"][i] = [
-                    self.comp.domain_of(flat_links[j]) for j in keep
-                ]
-                out["cand_tags"][i] = [ltags[j] for j in keep]
-                out["cand_priority"][i] = [int(lprio[j]) for j in keep]
-                kept_pages.append((i, len(keep)))
-                flat_hash.extend(out["cand_hash"][i])
-                flat_dom.extend(out["cand_domain"][i])
-            # hash64 + owning-shard per kept candidate, computed HERE
-            # (vectorized, in parallel across fetch workers) so the
-            # driver's serial insert path never rehashes or re-routes
-            if flat_hash:
-                from ..functions.urlhash import hash64_batch
-                from ..state.frontier import shard_of_batch
-
-                h64 = hash64_batch(np.asarray(flat_hash, dtype=object))
-                sids = shard_of_batch(flat_dom,
-                                      np.asarray(flat_hash, dtype=object),
-                                      self.n_shards, self.hot_domains)
-                off = 0
-                for i, nk in kept_pages:
-                    out["cand_h64"][i] = h64[off:off + nk].tolist()
-                    out["cand_shard"][i] = sids[off:off + nk].tolist()
-                    off += nk
+                    n_kept[i + 1] += 1
+            pos += len(links)
+        cand = candidate_table(
+            [flat_links[j] for j in keep], [lhash[j] for j in keep],
+            [self.comp.domain_of(flat_links[j]) for j in keep],
+            [ltags[j] for j in keep], lprio[keep],
+            self.n_shards, self.hot_domains)
+        out["cand"] = pa.ListArray.from_arrays(
+            pa.array(np.cumsum(n_kept), pa.int32()),
+            pa.StructArray.from_arrays(
+                [c.combine_chunks() for c in cand.columns],
+                fields=list(cand.schema)))
         # pass 3: grouped image loads + per-row payload validation
         all_image_ids = [iid for _, iids, _ in stored for iid in iids]
         img_rows = self._image_rows_bulk(all_image_ids) if all_image_ids else {}
@@ -502,11 +477,5 @@ def _to_arrow(out: dict) -> pa.Table:
         "too_many_links": pa.array(out["too_many_links"], pa.bool_()),
         "n_links_allowed": pa.array(out["n_links_allowed"], pa.int64()),
         "n_links_ignored": pa.array(out["n_links_ignored"], pa.int64()),
-        "cand_url": pa.array(out["cand_url"], pa.list_(pa.string())),
-        "cand_hash": pa.array(out["cand_hash"], pa.list_(pa.string())),
-        "cand_domain": pa.array(out["cand_domain"], pa.list_(pa.string())),
-        "cand_tags": pa.array(out["cand_tags"], pa.list_(pa.list_(pa.string()))),
-        "cand_priority": pa.array(out["cand_priority"], pa.list_(pa.int64())),
-        "cand_h64": pa.array(out["cand_h64"], pa.list_(pa.int64())),
-        "cand_shard": pa.array(out["cand_shard"], pa.list_(pa.int64())),
+        "cand": out["cand"],
     })

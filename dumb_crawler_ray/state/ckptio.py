@@ -25,13 +25,15 @@ def round_of(name: str) -> int:
     return int(name.split("=", 1)[1].split(".", 1)[0])
 
 
-def round_entries(base: str) -> list[tuple[int, str]]:
-    """(round, path) for every per-round file or directory under `base`,
-    sorted by round."""
+def round_entries(base: str, after: int | None = None) -> list[tuple[int, str]]:
+    """(round, path) for every per-round file or directory under `base`
+    (only rounds > `after` when given), sorted by round."""
     if not os.path.isdir(base):
         return []
     out = [(round_of(n), os.path.join(base, n)) for n in os.listdir(base)
            if n.startswith("round=")]
+    if after is not None:
+        out = [e for e in out if e[0] > after]
     out.sort()
     return out
 

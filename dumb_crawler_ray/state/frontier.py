@@ -41,7 +41,9 @@ import heapq
 from collections import Counter
 
 import numpy as np
+import pyarrow as pa
 
+from ..functions.urlhash import hash64_batch
 from ..pipelines import semantics as S
 from ..rayutil import from_ipc
 from .cuckoo import CuckooFilter
@@ -49,29 +51,53 @@ from .cuckoo import CuckooFilter
 # record tuple indexes
 R_URL, R_DOMAIN, R_TAGS, R_PRIORITY, R_STATUS, R_ATTEMPT, R_ERROR = range(7)
 
-
-def shard_of(domain: str, url_hash: str, n_shards: int, hot_domains: frozenset) -> int:
-    """Deterministic shard routing: by domain, salted by url_hash for hot
-    domains. Uses a stable string hash (md5-derived via S-layer hash64)."""
-    from ..functions.urlhash import hash64
-
-    key = url_hash if domain in hot_domains else domain
-    return hash64(key) % n_shards
+# insert_candidates deltas of an empty or absent candidate batch
+NO_INSERT = {"discovered": 0, "robots_denied": 0, "exact_probes": 0}
 
 
 def shard_of_batch(domains, url_hashes, n_shards: int, hot_domains: frozenset) -> np.ndarray:
-    from ..functions.urlhash import hash64_batch
-
+    """Deterministic shard routing: by domain, salted by url_hash for hot
+    domains (stable siphash64 of the key, `hash64_batch`)."""
     keys = [h if d in hot_domains else d for d, h in zip(domains, url_hashes)]
     return (hash64_batch(keys) % n_shards).astype(np.int64)
+
+
+CANDIDATE_SCHEMA = pa.schema([
+    ("url", pa.string()),
+    ("url_hash", pa.string()),
+    ("domain", pa.string()),
+    ("tags", pa.list_(pa.string())),
+    ("priority", pa.int64()),
+    ("hash64", pa.int64()),
+    ("shard", pa.int64()),
+])
+
+
+def candidate_table(url, url_hash, domain, tags, priority, n_shards: int,
+                    hot_domains: frozenset) -> pa.Table:
+    """The one form of a frontier candidate batch (`CANDIDATE_SCHEMA`):
+    the given columns (lists or Arrow arrays) plus each row's ``hash64``
+    (cuckoo/bloom key) and owning ``shard``. Fetch workers, the seed path
+    and checkpoint restore all build candidates here, so a url routes and
+    hashes the same way on every path."""
+    cols = []
+    for values, f in zip((url, url_hash, domain, tags, priority),
+                         CANDIDATE_SCHEMA):
+        if isinstance(values, pa.ChunkedArray):
+            values = values.combine_chunks()
+        cols.append(values.cast(f.type) if isinstance(values, pa.Array)
+                    else pa.array(values, f.type))
+    hashes = cols[1].to_numpy(zero_copy_only=False)
+    sids = shard_of_batch(cols[2].to_pylist(), hashes, n_shards, hot_domains)
+    cols += [pa.array(hash64_batch(hashes), pa.int64()),
+             pa.array(sids, pa.int64())]
+    return pa.Table.from_arrays(cols, schema=CANDIDATE_SCHEMA)
 
 
 def image_shard_of_batch(image_ids, n_shards: int) -> np.ndarray:
     """Shard routing for the distributed stored-image set — plain
     hash64(image_id) (images have no domain affinity). MUST be the one
     routing used by both the live store path and checkpoint restore."""
-    from ..functions.urlhash import hash64_batch
-
     if not isinstance(image_ids, np.ndarray):
         image_ids = np.asarray(list(image_ids), dtype=object)
     if len(image_ids) == 0:
@@ -186,31 +212,24 @@ class FrontierShardState:
     def _robots(self, domain: str, url: str | None = None) -> list[str]:
         return self._robots_entry(domain, url)[0]
 
-    def insert_candidates(self, rows: dict, maybe_seen=None) -> dict:
+    def insert_candidates(self, cand: pa.Table, maybe_seen=None) -> dict:
         """Insert-if-absent for a routed candidate batch.
 
-        ``rows``: a pa.Table (url, url_hash, domain, tags, priority,
-        hash64) or a columnar dict of lists with the same keys.
+        ``cand``: a `candidate_table` (its ``shard`` column is not read).
         ``maybe_seen``: bloom verdicts — False is authoritative "new", so
         the exact probe is skipped for those rows (the 10^10-scale fast
         path).
         Returns counter deltas {discovered, robots_denied, exact_probes}.
         """
-        if not isinstance(rows, dict):
-            t = rows
-            rows = {
-                "url": t.column("url").to_pylist(),
-                "url_hash": t.column("url_hash").to_pylist(),
-                "domain": t.column("domain").to_pylist(),
-                "tags": t.column("tags").to_pylist(),
-                "priority": t.column("priority").to_pylist(),
-                "hash64": t.column("hash64").to_numpy(),
-            }
-        hashes = rows["url_hash"]
-        n = len(hashes)
+        n = len(cand)
         if n == 0:
-            return {"discovered": 0, "robots_denied": 0, "exact_probes": 0}
-        h64 = np.asarray(rows["hash64"], dtype=np.int64)
+            return dict(NO_INSERT)
+        hashes = cand.column("url_hash").to_pylist()
+        urls = cand.column("url").to_pylist()
+        domains = cand.column("domain").to_pylist()
+        tags = cand.column("tags").to_pylist()
+        priority = cand.column("priority").to_pylist()
+        h64 = cand.column("hash64").to_numpy()
         if maybe_seen is None:
             maybe_seen = np.ones(n, dtype=bool)
         # cuckoo pre-probe only for bloom-positive rows
@@ -232,10 +251,8 @@ class FrontierShardState:
                 exact_probes += 1
                 if h in self.records or h in self.terminal:
                     continue  # true positive → already seen
-            rec = [
-                rows["url"][i], rows["domain"][i], list(rows["tags"][i]),
-                int(rows["priority"][i]), S.QUEUED, 0, None,
-            ]
+            rec = [urls[i], domains[i], tags[i], priority[i], S.QUEUED, 0,
+                   None]
             if self.respect_robots and S.robots_denied(
                     rec[R_URL], self._robots(rec[R_DOMAIN], rec[R_URL])):
                 rec[R_STATUS] = S.FAILED
@@ -376,20 +393,21 @@ class FrontierShardState:
           mark            url_hashes the driver selected from this shard
           complete        fetch outcome rows (see `complete`)
           pages, images   stored page hashes / image ids, in store order
-          cand, maybe_seen   routed candidate batch as one Arrow IPC
-                          stream buffer (`rayutil.to_ipc`; columns as in
-                          `insert_candidates`) + its bloom verdicts
+          cand, maybe_seen   this shard's rows of a `candidate_table` as
+                          one Arrow IPC stream buffer (`rayutil.to_ipc`)
+                          + their bloom verdicts
 
         Exact because nothing touches a shard between its
         `select_candidates` peek and this call. Returns the `note_stored`
-        flags, the `insert_candidates` deltas and ``robots``."""
+        flags, the `insert_candidates` deltas (zero without ``cand``) and
+        ``robots``."""
         self.mark_selected(msg.get("mark", ()))
         if "complete" in msg:
             self.complete(msg["complete"])
         out = self.note_stored(msg.get("pages", ()), msg.get("images", ()))
-        out.update(self.insert_candidates(
-            from_ipc(msg["cand"]) if "cand" in msg else {"url_hash": ()},
-            msg.get("maybe_seen")))
+        out.update(self.insert_candidates(from_ipc(msg["cand"]),
+                                          msg.get("maybe_seen"))
+                   if "cand" in msg else NO_INSERT)
         out["robots"] = self.drain_robots_entries()
         return out
 
@@ -399,29 +417,28 @@ class FrontierShardState:
         """hash64 of every record key — the driver rebuilds its global
         bloom from these (one compact int64 array per shard) instead of
         re-reading the insert history."""
-        from ..functions.urlhash import hash64_batch
-
         hs = list(self.records.keys()) + list(self.terminal.keys())
         return hash64_batch(hs) if hs else np.empty(0, dtype=np.int64)
 
     def restore_from_ckpt(self, ckpt_dir: str, n_shards: int,
                           hot_domains: frozenset) -> int:
         """Distributed resume: THIS shard replays its own keyed partition
-        of the checkpoint's delta files — inserts in round order through
-        the live `insert_candidates` path (with the robots cache
-        PRE-SEEDED from the persisted per-round entries, so denial
-        re-applies from the ORIGINAL decisions, never the current
+        of the checkpoint's delta files — inserts in round order (each
+        round rebuilt by `candidate_table` at the CURRENT shard count,
+        keeping this shard's rows, so a resharded resume routes like a
+        live crawl) through the live `insert_candidates` path (with the
+        robots cache PRE-SEEDED from the persisted per-round entries, so
+        denial re-applies from the ORIGINAL decisions, never the current
         network), then updates filtered to owned records, then stored
-        membership from the data-plane fragments. The driver never
-        materializes the frontier history; every shard reads the shared
-        delta files in parallel (read amplification n_shards×, the
-        shared-storage trade-off for zero driver funneling) and does
-        insert/update row WORK only on its own partition."""
+        membership from the crawl rounds' data-plane fragments. The
+        driver never materializes the frontier history; every shard
+        reads the shared delta files in parallel (read amplification
+        n_shards×, the shared-storage trade-off for zero driver
+        funneling) and does insert/update row WORK only on its own
+        partition."""
         import os
 
-        import pyarrow as pa
-
-        from ..functions.urlhash import hash64_batch
+        from ..sources.warc import IMPORT_ROUND
         from .ckptio import read_round, round_entries
 
         # two-pass robots seed: rows THIS shard decided live replay
@@ -448,18 +465,13 @@ class FrontierShardState:
         for _rnd, path in round_entries(
                 os.path.join(ckpt_dir, "frontier_inserts")):
             t = read_round(path)
-            hashes = np.asarray(t.column("url_hash").to_pylist(),
-                                dtype=object)
-            sids = shard_of_batch(t.column("domain").to_pylist(), hashes,
-                                  n_shards, hot_domains)
-            idx = np.flatnonzero(sids == self.shard_id)
-            if not len(idx):
-                continue
-            sub = t.take(pa.array(idx))
-            h64 = hash64_batch(hashes[idx])
-            sub = sub.append_column("hash64", pa.array(h64, pa.int64()))
-            self.insert_candidates(sub)
-            n_rows += len(idx)
+            cand = candidate_table(
+                *(t.column(c) for c in CANDIDATE_SCHEMA.names[:5]),
+                n_shards, hot_domains)
+            mine = cand.filter(pa.array(
+                cand.column("shard").to_numpy() == self.shard_id))
+            self.insert_candidates(mine)
+            n_rows += len(mine)
         for _rnd, path in round_entries(
                 os.path.join(ckpt_dir, "frontier_updates")):
             t = read_round(path)
@@ -475,26 +487,23 @@ class FrontierShardState:
             if not keep:
                 continue
             self.complete({k: [v[i] for i in keep] for k, v in rows.items()})
-        # stored membership: pages are owned iff their record is (same
-        # routing); images route by hash64(image_id) % n_shards
-        pages_base = os.path.join(ckpt_dir, "pages")
-        if os.path.isdir(pages_base):
-            for name in os.listdir(pages_base):
-                t = read_round(os.path.join(pages_base, name),
-                               columns=["url_hash"])
-                for h in t.column("url_hash").to_pylist():
-                    if h in self.records or h in self.terminal:
-                        self.stored_pages.add(h)
-        images_base = os.path.join(ckpt_dir, "images")
-        if os.path.isdir(images_base):
-            for name in os.listdir(images_base):
-                t = read_round(os.path.join(images_base, name),
-                               columns=["image_id"])
-                ids = np.asarray(t.column("image_id").to_pylist(),
-                                 dtype=object)
-                if len(ids):
-                    own = image_shard_of_batch(ids, n_shards) == self.shard_id
-                    self.stored_images.update(ids[own].tolist())
+        # stored membership from the crawl's own rounds (WARC imports at
+        # IMPORT_ROUND were never stored by this crawl): pages are owned
+        # iff their record is (same routing); images route by
+        # hash64(image_id) % n_shards
+        for _rnd, path in round_entries(os.path.join(ckpt_dir, "pages"),
+                                        after=IMPORT_ROUND):
+            t = read_round(path, columns=["url_hash"])
+            for h in t.column("url_hash").to_pylist():
+                if h in self.records or h in self.terminal:
+                    self.stored_pages.add(h)
+        for _rnd, path in round_entries(os.path.join(ckpt_dir, "images"),
+                                        after=IMPORT_ROUND):
+            t = read_round(path, columns=["image_id"])
+            ids = t.column("image_id").to_numpy(zero_copy_only=False)
+            if len(ids):
+                own = image_shard_of_batch(ids, n_shards) == self.shard_id
+                self.stored_images.update(ids[own].tolist())
         self.requeue_orphans()
         return n_rows
 

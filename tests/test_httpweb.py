@@ -145,6 +145,7 @@ def test_fetch_worker_http_mode_maps_transport_error(tmp_path):
             "attempt": pa.array([0], pa.int64()),
             "priority": pa.array([10], pa.int64()),
             "round": pa.array([0], pa.int64()),
+            "not_before_ts": pa.array([0.0], pa.float64()),
         }
     )
     out = from_ipc(w(to_ipc(batch)))

@@ -190,12 +190,43 @@ def test_fresh_run_into_used_ckpt_dir_starts_clean(ray_session, fix4,
     assert res.seen_set == orc.seen_set
     assert res.counters == orc.counters
     assert res.stored_images == orc.stored_images
-    # restore rebuilds stored_pages from every pages fragment, so the
-    # imported page leads the list
-    imp = {h for n in import_files
-           for h in pq.read_table(imported / n).column("url_hash").to_pylist()}
-    assert res.stored_pages[:len(imp)] == sorted(imp)
-    assert res.stored_pages[len(imp):] == orc.stored_pages
+    assert res.stored_pages == orc.stored_pages
+
+
+def test_resume_does_not_count_warc_imports_as_stored(ray_session, fix4,
+                                                      tmp_path):
+    """A WARC-imported page (round IMPORT_ROUND) that the crawl discovers
+    before a stop and fetches after it counts as NEW_SAVED_PAGES on the
+    resumed crawl, like on the uninterrupted one: restore reads stored
+    membership and `stored_pages` from crawl rounds only."""
+    from dumb_crawler_ray.config import JobConfig
+    from dumb_crawler_ray.sources.warc import import_warc, write_warc
+
+    web = SynthWeb.generate(42, 4)
+    orc = oracle.simulate(DEFAULT_CONFIG, web)
+    stop = 2
+    early = oracle.OracleSimulator(JobConfig(DEFAULT_CONFIG), web)
+    early.run(max_rounds=stop)
+    h = next(h for h in orc.stored_pages
+             if h in early.store and h not in early.crawl_order)
+    ckpt = tmp_path / "ckpt_import"
+    (tmp_path / "warc").mkdir()
+    write_warc([(early.store[h].url, "<html>imported</html>")],
+               str(tmp_path / "warc" / "a.warc"))
+    assert import_warc(str(tmp_path / "warc"), str(ckpt),
+                       DEFAULT_CONFIG) == 1
+
+    def crawl(**kw):
+        return CrawlPipeline(fix4, DEFAULT_CONFIG, seed=42, scale=4,
+                             n_shards=2, fetch_concurrency=2,
+                             ckpt_dir=str(ckpt), **kw)
+
+    stopped = crawl().run(max_rounds=stop)
+    assert h in stopped.seen_set and h not in stopped.crawl_order
+    res = crawl(resume=True).run()
+    assert res.counters == orc.counters
+    assert res.stored_pages == orc.stored_pages
+    assert res.seen_set == orc.seen_set
 
 
 def test_run_releases_its_actors(ray_session, fix4, tmp_path):

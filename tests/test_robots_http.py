@@ -165,19 +165,12 @@ def test_transient_5xx_not_persisted_and_reconsulted(monkeypatch):
 
 
 def _insert(state, urls):
-    import numpy as np
+    from dumb_crawler_ray.state.frontier import candidate_table
 
-    from dumb_crawler_ray.functions.urlhash import hash64_batch
-
-    rows = {
-        "url": urls,
-        "url_hash": urls,  # identity hashing is fine for state-level tests
-        "domain": [u.split("://", 1)[1].split("/", 1)[0] for u in urls],
-        "tags": [[] for _ in urls],
-        "priority": [0] * len(urls),
-        "hash64": hash64_batch(np.asarray(urls, dtype=object)),
-    }
-    return state.insert_candidates(rows)
+    # identity hashing (url_hash = url) is fine for state-level tests
+    return state.insert_candidates(candidate_table(
+        urls, urls, [u.split("://", 1)[1].split("/", 1)[0] for u in urls],
+        [[] for _ in urls], [0] * len(urls), 1, frozenset()))
 
 
 def test_insert_time_denial_and_per_domain_cache():
@@ -463,17 +456,14 @@ def test_robots_pool_fetches_once_per_domain_across_shards(ray_session,
     cold = domains_for(4)[1]
     urls = [f"https://{hot}/article/px{i:06d}-{900000 + i}"
             for i in range(64)] + [f"https://{cold}/article/pc-777777"]
-    import pyarrow as pa
-
     from dumb_crawler_ray.functions.urlhash import UrlHasher
+    from dumb_crawler_ray.state.frontier import candidate_table
+
     hasher = UrlHasher(cfg["idExtractorPattern"])
-    cand = pa.table(
-        {"url": pa.array(urls, pa.string()),
-         "url_hash": pa.array([hasher.hash_url(u) for u in urls],
-                              pa.string()),
-         "domain": pa.array([u.split("/")[2] for u in urls], pa.string()),
-         "tags": pa.array(["article"] * len(urls), pa.string()),
-         "priority": pa.array([10] * len(urls), pa.int64())})
+    cand = candidate_table(urls, [hasher.hash_url(u) for u in urls],
+                           [u.split("/")[2] for u in urls],
+                           [["article"]] * len(urls), [10] * len(urls),
+                           pipe.n_shards, pipe.hot_domains)
     msgs = {}
     pipe._insert_candidates(cand, msgs)
     assert len(msgs) == 4  # the salted hot domain reaches every shard

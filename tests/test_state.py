@@ -7,7 +7,7 @@ from dumb_crawler_ray.rayutil import from_ipc, to_ipc
 from dumb_crawler_ray.state.bloom import BloomFilter
 from dumb_crawler_ray.state.cuckoo import CuckooFilter
 from dumb_crawler_ray.state.frontier import (R_STATUS, FrontierShardState,
-                                             shard_of_batch)
+                                             candidate_table, shard_of_batch)
 
 
 def _hashes(n, seed=0):
@@ -34,7 +34,7 @@ def test_bloom_snapshot_roundtrip():
     st = FrontierShardState(0, respect_robots=False)
     st.insert_candidates(rows)
     live = BloomFilter(capacity=1000)
-    live.add_many(rows["hash64"])
+    live.add_many(rows.column("hash64").to_numpy())
     rebuilt = BloomFilter(capacity=1000)
     rebuilt.add_many(st.record_hash64())
     assert rebuilt.contains_many(st.record_hash64()).all()
@@ -53,16 +53,10 @@ def test_cuckoo_membership_and_snapshot():
 
 
 def _rows(items):
-    from dumb_crawler_ray.functions.urlhash import hash64_batch
-
-    return {
-        "url": [u for u, *_ in items],
-        "url_hash": [h for _, h, *_ in items],
-        "domain": [d for _, _, d, *_ in items],
-        "tags": [["t"]] * len(items),
-        "priority": [p for *_, p in items],
-        "hash64": hash64_batch([h for _, h, *_ in items]),
-    }
+    return candidate_table([u for u, *_ in items], [h for _, h, *_ in items],
+                           [d for _, _, d, *_ in items],
+                           [["t"]] * len(items), [p for *_, p in items],
+                           1, frozenset())
 
 
 def test_frontier_shard_insert_select_complete():
@@ -170,6 +164,70 @@ def test_shard_routing_salting():
     assert len(cold_ids) == 1    # cold domain sticks to one shard
 
 
+def test_candidate_table_routing(tmp_path):
+    """One candidate form on every path: for a cold and a hot (salted)
+    domain, the fetch worker's reply and the seed path give a url the
+    same hash64 and shard, and restore keeps exactly the rows
+    `shard_of_batch` assigns to the shard at 2 and at 3 shards."""
+    import copy
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from dumb_crawler_ray.config import JobConfig
+    from dumb_crawler_ray.pipelines.crawl import CrawlPipeline
+    from dumb_crawler_ray.sources.synthweb import (DEFAULT_CONFIG,
+                                                   domains_for, write_fixture)
+    from dumb_crawler_ray.stages.fetch import FetchWorker
+
+    fix = str(write_fixture(tmp_path / "fx", seed=42, scale=1))
+    hot = frozenset([domains_for(1)[0]])
+    comp = S.CrawlComponents(JobConfig(DEFAULT_CONFIG))
+    seeds = JobConfig(DEFAULT_CONFIG).seeds
+    n = len(seeds)
+    sel = pa.table({
+        "rank": pa.array(range(n), pa.int64()),
+        "url_hash": pa.array(comp.analyze_urls(seeds)[2], pa.string()),
+        "url": pa.array(seeds, pa.string()),
+        "domain": pa.array([comp.domain_of(u) for u in seeds]),
+        "attempt": pa.array([0] * n, pa.int64()),
+        "round": pa.array([0] * n, pa.int64()),
+        "not_before_ts": pa.array([0.0] * n, pa.float64())})
+    w = FetchWorker(fix, DEFAULT_CONFIG, seed=42, scale=1, n_shards=3,
+                    hot_domains=hot)
+    reply = from_ipc(w(to_ipc(sel)))
+    fetched = pa.Table.from_struct_array(pc.list_flatten(reply.column("cand")))
+    doms = fetched.column("domain").to_pylist()
+    hot_shards = {s for d, s in zip(doms, fetched.column("shard").to_pylist())
+                  if d in hot}
+    assert len(hot_shards) > 1 and set(doms) - hot
+
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg["seeds"] = fetched.column("url").to_pylist()
+    pipe = CrawlPipeline(fix, cfg, seed=42, scale=1, n_shards=3,
+                         hot_domains=hot)
+    seeded = []
+    pipe._insert_candidates = lambda cand, msgs: seeded.append(cand)
+    pipe._apply = lambda msgs: {}
+    pipe.inject_seeds()
+    key = ["url", "url_hash", "domain", "hash64", "shard"]
+    assert seeded[0].select(key).equals(fetched.select(key))
+
+    base = tmp_path / "ckpt" / "frontier_inserts"
+    base.mkdir(parents=True)
+    pq.write_table(fetched.select(["url", "url_hash", "domain", "tags",
+                                   "priority"]),
+                   base / "round=000000.parquet")
+    hashes = fetched.column("url_hash").to_pylist()
+    for n_shards in (2, 3):
+        sids = shard_of_batch(doms, hashes, n_shards, hot)
+        for sid in range(n_shards):
+            st = FrontierShardState(sid, respect_robots=False)
+            st.restore_from_ckpt(str(tmp_path / "ckpt"), n_shards, hot)
+            assert set(st.records) == {
+                h for h, s in zip(hashes, sids) if s == sid}
+
+
 def _round_msg():
     """One round's apply_round message for `_round_shard`: h3 is
     schedule-disallowed (marked, never completed), img1 is stored twice
@@ -183,10 +241,10 @@ def _round_msg():
                      "attempt": [1, 1]},
         "pages": ["h1", "h0"],
         "images": ["img0", "img1", "img1"],
-        "cand": to_ipc(pa.table(_rows([("https://d02.example.test/1", "h1",
-                                        "d02.example.test", 5),
-                                       ("https://d03.example.test/9", "h9",
-                                        "d03.example.test", 2)]))),
+        "cand": to_ipc(_rows([("https://d02.example.test/1", "h1",
+                               "d02.example.test", 5),
+                              ("https://d03.example.test/9", "h9",
+                               "d03.example.test", 2)])),
         "maybe_seen": np.array([True, False]),
     }
 
