@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import remote_kwargs
+from ..rayutil import hash_partition_count, keyed_colocate, remote_kwargs
 from .vecutil import embedding_matrix, fixed_gemm, fixed_sims, normalize_rows as _normalize
 
 SIM_DECIMALS = 4  # round similarities so float noise can't flip value hashes
@@ -347,7 +347,6 @@ def filtered_ann_topk(sf_dir: str, n_queries: int = 5, k: int = 10,
     qn = _normalize(qmat)
     q_ref = ray.put((qids, qn))
 
-    from .dedup import _hash_partition_count
     from .filters import quality_classifier_scores_unsorted
 
     LIST_F32 = pa.list_(pa.float32())
@@ -403,29 +402,24 @@ def filtered_ann_topk(sf_dir: str, n_queries: int = 5, k: int = 10,
                          "sim": pa.array(out_s, pa.float64())})
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
+        n_partitions = hash_partition_count()
+
+    def build():
         flags = quality_classifier_scores_unsorted(sf_dir).map_batches(
             flag_rows, batch_format="pyarrow", **remote_kwargs())
         emb = ray.data.read_parquet(
             f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
         ).map_batches(emb_rows, batch_format="pyarrow", **remote_kwargs())
-        cand_mat = (
+        return (
             emb.union(flags)
             .repartition(n_partitions, keys=["id"])
             .map_batches(gate_and_topk, batch_format="pyarrow",
                          batch_size=None, **remote_kwargs())
-            .materialize()
         )
-    finally:
-        ctx.shuffle_strategy = prev
+
     cand = pa.concat_tables(
-        tb for tb in ray.data.from_arrow_refs(
-            list(cand_mat.to_arrow_refs())
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
+        tb for tb in keyed_colocate(build).iter_batches(
+            batch_format="pyarrow", batch_size=None)
     )
     if len(cand) == 0:
         return _empty_topk()
@@ -768,7 +762,7 @@ def semantic_dedup(sf_dir: str, k: int | None = 8, threshold: float = 0.9,
     threshold, determinism) are pytested."""
     import ray
 
-    from .dedup import PLANT_ID_OFFSET, _hash_partition_count
+    from .dedup import PLANT_ID_OFFSET
 
     if k is None:
         n = ray.data.read_parquet(
@@ -806,21 +800,13 @@ def semantic_dedup(sf_dir: str, k: int | None = 8, threshold: float = 0.9,
     def greedy_prune(b: pa.Table) -> pa.Table:
         return _semdedup_prune_block(b, "vec_id", pa.int64(), -1, threshold)
 
-    n_partitions = min(_hash_partition_count(), max(2, k))
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        mat = (
-            ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                                  columns=["vec_id", "embedding"])
-            .map_batches(plant_and_assign, batch_format="pyarrow",
-                         **remote_kwargs())
-            .repartition(n_partitions, keys=["cluster"])
-            .map_batches(greedy_prune, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-    return ray.data.from_arrow_refs(list(mat.to_arrow_refs())).sort("vec_id")
+    n_partitions = min(hash_partition_count(), max(2, k))
+    return keyed_colocate(lambda: (
+        ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
+                              columns=["vec_id", "embedding"])
+        .map_batches(plant_and_assign, batch_format="pyarrow",
+                     **remote_kwargs())
+        .repartition(n_partitions, keys=["cluster"])
+        .map_batches(greedy_prune, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+    )).sort("vec_id")

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..rayutil import remote_kwargs
+from ..rayutil import hash_partition_count, keyed_colocate, remote_kwargs
 
 DEFAULT_MERGES = 12
 
@@ -174,7 +174,6 @@ def bpe_token_counts(sf_dir: str, n_merges: int = DEFAULT_MERGES):
     import ray
     from ray.data.aggregate import Sum
 
-    from .dedup import _hash_partition_count
     from .text import TOKEN_REGEX
 
     _merges, state = _bpe_train_state(sf_dir, n_merges)
@@ -223,9 +222,7 @@ def bpe_token_counts(sf_dir: str, n_merges: int = DEFAULT_MERGES):
         return pa.table({"doc_id": agg.column("doc_id"),
                          "n_part": agg.column("n_part_sum")})
 
-    from ..rayutil import keyed_colocate
-
-    n_parts = max(2, min(8, _hash_partition_count()))
+    n_parts = max(2, min(8, hash_partition_count()))
 
     def build():
         vocab = ray.data.from_arrow_refs(

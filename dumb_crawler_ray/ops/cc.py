@@ -6,9 +6,9 @@ Two paths behind one size gate (`component_reps`):
 - **union-find on the driver** (default): the verified pair set is tiny
   relative to the corpus (near-dups only), so a driver-side union-find with
   min-id representatives is the fastest exact answer.
-- **min-label propagation** (scale path, `pairs > CC_DRIVER_PAIR_LIMIT` or
-  `force_distributed`): labels start as each node's own id and every round
-  each node takes the min of its neighbors' labels —
+- **min-label propagation** (scale path, `pairs > CC_DRIVER_PAIR_LIMIT`):
+  labels start as each node's own id and every round each node takes the
+  min of its neighbors' labels —
   `label(v) <- min(label(v), min_{u~v} label(u))` — converging to the
   component-min id in at most graph-diameter rounds (near-dup clusters are
   dense, so few). Each round is TWO keyed hash repartitions (attach labels
@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..rayutil import remote_kwargs
+from ..rayutil import hash_partition_count, hash_shuffle, remote_kwargs
 
 CC_DRIVER_PAIR_LIMIT = 2_000_000
 _MAX_ITERS = 100
@@ -57,7 +57,7 @@ def components_unionfind(pair_batches) -> dict:
 def _min_label_propagation(pairs, n_parts: int):
     """Distributed min-label propagation. `pairs` is a Ray Dataset with
     columns `a`, `b`; returns a MATERIALIZED Dataset (node, rep). Caller
-    must scope ShuffleStrategy.HASH_SHUFFLE around the whole call."""
+    must hold `rayutil.hash_shuffle` around the whole call."""
     import ray
 
     def to_directed(t: pa.Table) -> pa.Table:
@@ -169,12 +169,6 @@ def _min_label_propagation(pairs, n_parts: int):
         f"min-label propagation did not converge in {_MAX_ITERS} rounds")
 
 
-def _default_parts() -> int:
-    import ray
-
-    return max(2, min(16, int(ray.cluster_resources().get("CPU", 4) / 2)))
-
-
 def component_labels(pairs, n_parts: int | None = None):
     """Distributed path as a DATASET: min-label propagation over `pairs`
     (Ray Dataset, columns a/b) → materialized Dataset (node, label,
@@ -184,31 +178,23 @@ def component_labels(pairs, n_parts: int | None = None):
     import ray
 
     if n_parts is None:
-        n_parts = _default_parts()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
+        n_parts = hash_partition_count()
+    with hash_shuffle():
         # rebuild the pair blocks INSIDE the scope — a dataset captures the
         # DataContext it was created under
         pairs_scoped = ray.data.from_arrow_refs(
             list(pairs.materialize().to_arrow_refs()))
         labels = _min_label_propagation(pairs_scoped, n_parts)
-    finally:
-        ctx.shuffle_strategy = prev
-    # rebuild outside the scope so downstream consumers plan under the
-    # restored default shuffle strategy
     return ray.data.from_arrow_refs(list(labels.to_arrow_refs()))
 
 
-def component_reps(pairs, *, force_distributed: bool = False,
-                   n_parts: int | None = None) -> dict:
+def component_reps(pairs, *, n_parts: int | None = None) -> dict:
     """{node: representative (component-min id)} for every node in `pairs`
     (a Ray Dataset with columns a, b). Gate: driver union-find below
     CC_DRIVER_PAIR_LIMIT pairs, min-label propagation above it. The result
     map is bounded by CLUSTERED nodes (pair members), not the corpus."""
     n_pairs = pairs.count()
-    if not force_distributed and n_pairs <= CC_DRIVER_PAIR_LIMIT:
+    if n_pairs <= CC_DRIVER_PAIR_LIMIT:
         return components_unionfind(
             pairs.iter_batches(batch_format="pyarrow", batch_size=None))
     labels = component_labels(pairs, n_parts)

@@ -28,9 +28,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import actor_pool_size, remote_kwargs
+from ..rayutil import (actor_pool_size, hash_partition_count, keyed_colocate,
+                       remote_kwargs)
 
-from .text import TOKEN_REGEX, normalize_expr
+from .text import TOKEN_REGEX, _docs, normalize_expr
 from .vecutil import embedding_matrix
 
 SIM_DECIMALS = 4  # matches ops.ann — rounding kills float value-hash noise
@@ -50,12 +51,6 @@ def _stable64_batch(strs) -> np.ndarray:
     if len(arr) == 0:
         return np.empty(0, dtype=np.uint64)
     return pd.util.hash_array(arr, categorize=False)
-
-
-def _docs(sf_dir: str, columns):
-    import ray
-
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
 
 
 # ------------------------------------------------------------------ exact
@@ -229,14 +224,6 @@ def _candidate_pairs_by_key(exploded, n_partitions: int):
     )
 
 
-def _hash_partition_count() -> int:
-    """Hash-shuffle partitions are backed by aggregator actors; more
-    partitions than CPUs deadlocks a small cluster."""
-    import ray
-
-    return max(2, min(32, int(ray.cluster_resources().get("CPU", 4) / 2)))
-
-
 def _gather_texts(sf_dir: str, ids) -> dict[int, str]:
     """doc_id→text for ONLY the requested ids, via a distributed filter:
     the needed-id array is broadcast once (`ray.put`), every batch keeps
@@ -289,19 +276,11 @@ def minhash_near_dup_pairs(sf_dir: str, threshold_num: int = 1,
              "doc_id": pa.array(np.repeat(ids, n_bands), pa.int64())}
         )
 
-    # datasets capture the DataContext at CREATION — the whole candidate
-    # chain (signatures included) must be built inside the scoped override
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        sigs = minhash_signatures(sf_dir, concurrency)
-        cand = _candidate_pairs_by_key(
-            sigs.map_batches(explode, batch_format="pyarrow", **remote_kwargs()),
-            _hash_partition_count(),
-        ).materialize()
-    finally:
-        ctx.shuffle_strategy = prev
+    cand = keyed_colocate(lambda: _candidate_pairs_by_key(
+        minhash_signatures(sf_dir, concurrency).map_batches(
+            explode, batch_format="pyarrow", **remote_kwargs()),
+        hash_partition_count(),
+    ))
 
     # exact verification: candidate pairs stream through map_batches; the
     # broadcast side is the texts of CANDIDATE-PAIR MEMBERS ONLY (the
@@ -514,10 +493,28 @@ def simhash_near_dup_pairs(sf_dir: str, max_hamming: int = 3):
 
 # ------------------------------------------------- near-dup clustering
 
+def _cluster_table(reps_map: dict) -> pa.Table:
+    """{doc_id: component rep} → one row per clustered doc, sorted by
+    doc_id: (doc_id, cluster_rep, cluster_size, keep — rep only)."""
+    members = sorted(reps_map)
+    reps = [reps_map[m] for m in members]
+    sizes: dict[int, int] = {}
+    for r in reps:
+        sizes[r] = sizes.get(r, 0) + 1
+    return pa.table(
+        {
+            "doc_id": pa.array(members, pa.int64()),
+            "cluster_rep": pa.array(reps, pa.int64()),
+            "cluster_size": pa.array([sizes[r] for r in reps], pa.int64()),
+            "keep": pa.array([m == r for m, r in zip(members, reps)],
+                             pa.bool_()),
+        }
+    )
+
+
 def near_dup_clusters(sf_dir: str, threshold_num: int = 1,
                       threshold_den: int = 2,
-                      concurrency: int | None = None,
-                      force_distributed: bool = False):
+                      concurrency: int | None = None):
     """Connected components over the verified MinHash near-dup pairs →
     one row per clustered doc with its cluster representative (min doc_id)
     and cluster size, plus `keep` (rep only) — the training-data keep-list
@@ -536,26 +533,11 @@ def near_dup_clusters(sf_dir: str, threshold_num: int = 1,
     pairs = minhash_near_dup_pairs(sf_dir, threshold_num=threshold_num,
                                    threshold_den=threshold_den,
                                    concurrency=concurrency)
-    reps_map = component_reps(ray.data.from_arrow(pairs),
-                              force_distributed=force_distributed)
-    members = sorted(reps_map)
-    reps = [reps_map[m] for m in members]
-    sizes: dict[int, int] = {}
-    for r in reps:
-        sizes[r] = sizes.get(r, 0) + 1
-    return pa.table(
-        {
-            "doc_id": pa.array(members, pa.int64()),
-            "cluster_rep": pa.array(reps, pa.int64()),
-            "cluster_size": pa.array([sizes[r] for r in reps], pa.int64()),
-            "keep": pa.array([m == r for m, r in zip(members, reps)], pa.bool_()),
-        }
-    )
+    return _cluster_table(component_reps(ray.data.from_arrow(pairs)))
 
 
 def jaccard_clusters(sf_dir: str, threshold_num: int = 1,
-                     threshold_den: int = 20,
-                     force_distributed: bool = False):
+                     threshold_den: int = 20):
     """Connected components over the EXACT n-gram Jaccard pair set —
     the fully SQL-checkable cluster pipeline: the pair stage is the
     oracle-green `ngram_jaccard_pairs` and the component stage has a
@@ -566,22 +548,8 @@ def jaccard_clusters(sf_dir: str, threshold_num: int = 1,
     component-min representative, cluster size, and keep flag."""
     from .cc import component_reps
 
-    pairs = ngram_jaccard_pairs(sf_dir, threshold_num, threshold_den)
-    reps_map = component_reps(pairs, force_distributed=force_distributed)
-    members = sorted(reps_map)
-    reps = [reps_map[m] for m in members]
-    sizes: dict = {}
-    for r in reps:
-        sizes[r] = sizes.get(r, 0) + 1
-    return pa.table(
-        {
-            "doc_id": pa.array(members, pa.int64()),
-            "cluster_rep": pa.array(reps, pa.int64()),
-            "cluster_size": pa.array([sizes[r] for r in reps], pa.int64()),
-            "keep": pa.array([m == r for m, r in zip(members, reps)],
-                             pa.bool_()),
-        }
-    )
+    return _cluster_table(component_reps(
+        ngram_jaccard_pairs(sf_dir, threshold_num, threshold_den)))
 
 
 # ------------------------------------------------------ embedding near-dup
@@ -812,33 +780,23 @@ def ngram_jaccard_pairs(sf_dir: str, threshold_num: int = 1,
             }
         )
 
-    import ray
-
-    # keyed hash repartition needs the HASH_SHUFFLE strategy; Ray's
-    # sort-based aggregate collapses at ~10^6 distinct keys (measured 10 s
-    # for 1.3M pairs vs 2.5 s for repartition + per-block np.unique), so
-    # this op materializes eagerly under a scoped context override. The
-    # result is tiny (qualifying pairs only).
+    # keyed hash repartition, not Ray's sort-based aggregate, which
+    # collapses at ~10^6 distinct keys (measured 10 s for 1.3M pairs vs
+    # 2.5 s for repartition + per-block np.unique). The result is tiny
+    # (qualifying pairs only).
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        return (
-            _docs(sf_dir, ["doc_id", "text"])
-            .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
-            .repartition(n_partitions, keys=["shingle"])
-            .map_batches(pairs_in_block, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .repartition(n_partitions, keys=["pair"])
-            .map_batches(combine, batch_format="pyarrow", batch_size=None,
-                         **remote_kwargs())
-            .sort(["a", "b"])
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
+        n_partitions = hash_partition_count()
+    return keyed_colocate(lambda: (
+        _docs(sf_dir, ["doc_id", "text"])
+        .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
+        .repartition(n_partitions, keys=["shingle"])
+        .map_batches(pairs_in_block, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+        .repartition(n_partitions, keys=["pair"])
+        .map_batches(combine, batch_format="pyarrow", batch_size=None,
+                     **remote_kwargs())
+        .sort(["a", "b"])
+    ))
 
 
 # ------------------------------------------- source near-dup overlap matrix
@@ -952,18 +910,13 @@ def source_overlap_matrix(sf_dir: str, n_partitions: int | None = None):
             "kind": pa.array(np.zeros(n, np.int8), pa.int8())})
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    # set BEFORE any dataset is created: Ray Data snapshots the context
-    # per dataset, so a pairs/read handle minted under SORT would reject
-    # the keyed repartitions below even with HASH set afterwards
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
+        n_partitions = hash_partition_count()
+
+    def build():
         pairs = minhash_near_dup_pairs(sf_dir)
         if isinstance(pairs, pa.Table):  # X2 collects its verified pairs
             pairs = ray.data.from_arrow(pairs)
-        parts = (
+        return (
             pairs.map_batches(pair_sides, batch_format="pyarrow",
                               **remote_kwargs())
             .union(_docs(sf_dir, ["doc_id", "source"]).map_batches(
@@ -974,10 +927,7 @@ def source_overlap_matrix(sf_dir: str, n_partitions: int | None = None):
             .repartition(n_partitions, keys=["a", "b"])
             .map_batches(_overlap_combine, batch_format="pyarrow",
                          batch_size=None, **remote_kwargs())
-            .materialize()
         )
-    finally:
-        ctx.shuffle_strategy = prev
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table({"source_a": t.column("source_a"),
@@ -985,7 +935,7 @@ def source_overlap_matrix(sf_dir: str, n_partitions: int | None = None):
                          "n_pairs": t.column("sum(n_part)").cast(pa.int64())})
 
     return (
-        ray.data.from_arrow_refs(list(parts.to_arrow_refs()))
+        keyed_colocate(build)
         .groupby(["source_a", "source_b"])
         .aggregate(Sum("n_part"))
         .map_batches(finish, batch_format="pyarrow", **remote_kwargs())

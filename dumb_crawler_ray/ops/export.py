@@ -37,7 +37,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..rayutil import remote_kwargs
+from ..rayutil import hash_partition_count, keyed_colocate, remote_kwargs
 
 FP_MASK = (1 << 63) - 1  # keep XOR results inside signed int64 / BIGINT
 DEFAULT_SHARDS = 16  # fixture-scale default; size n_shards so a shard fits
@@ -107,13 +107,11 @@ def export_sharded(assigned_fn, out_dir: str, id_col: str,
     skipping shards unchanged vs the previous manifest. Returns the
     manifest table. Takes a BUILDER, not a Dataset: datasets capture
     their DataContext at creation, so the whole chain must be
-    constructed under the scoped HASH_SHUFFLE override or the keyed
+    constructed inside `rayutil.keyed_colocate` or the keyed
     repartition refuses to plan. `write_shard(tbl, path)` is the format
     seam — parquet by default, a deterministic tar for WebDataset-style
     releases (`export_webdataset`)."""
     import ray
-
-    from .dedup import _hash_partition_count
 
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
@@ -169,26 +167,18 @@ def export_sharded(assigned_fn, out_dir: str, id_col: str,
                          "skipped": pa.array(out_skip, pa.bool_())})
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev_strategy = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        mat = (
-            assigned_fn()
-            .repartition(n_partitions, keys=["shard"])
-            .map_batches(write_shards, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev_strategy
+        n_partitions = hash_partition_count()
+    written = keyed_colocate(lambda: (
+        assigned_fn()
+        .repartition(n_partitions, keys=["shard"])
+        .map_batches(write_shards, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+    ))
     manifest_schema = pa.schema(
         [("shard", pa.int64()), ("n_docs", pa.int64()),
          ("fingerprint", pa.int64()), ("skipped", pa.bool_())])
-    batches = list(ray.data.from_arrow_refs(
-        list(mat.to_arrow_refs())
-    ).iter_batches(batch_format="pyarrow", batch_size=None))
+    batches = list(written.iter_batches(batch_format="pyarrow",
+                                        batch_size=None))
     rows = (pa.concat_tables(batches) if batches
             else manifest_schema.empty_table())
     rows = rows.sort_by("shard")
@@ -318,7 +308,7 @@ def compact_pages(ckpt_dir: str, out_dir: str | None = None,
     import ray
 
     from ..pipelines.curate import latest_version_block
-    from .dedup import _hash_partition_count, _md5_64_batch
+    from .dedup import _md5_64_batch
 
     if out_dir is None:
         base = os.path.basename(os.path.abspath(ckpt_dir))
@@ -335,7 +325,7 @@ def compact_pages(ckpt_dir: str, out_dir: str | None = None,
         ).append_column("fp", pa.array(fp, pa.int64()))
 
     n_co = n_partitions if n_partitions is not None \
-        else _hash_partition_count()
+        else hash_partition_count()
 
     def build():
         return (
@@ -376,7 +366,6 @@ def curated_image_release(images_parquet: str, out_dir: str | None = None,
     import pyarrow.compute as pc
     import ray
 
-    from .dedup import _hash_partition_count
     from .multimodal import image_curation_full
 
     if out_dir is None:
@@ -433,7 +422,7 @@ def curated_image_release(images_parquet: str, out_dir: str | None = None,
         ).append_column(
             "fp", pa.array(_fingerprints(sids, digests), pa.int64()))
 
-    n_co = n_partitions if n_partitions is not None else _hash_partition_count()
+    n_co = n_partitions if n_partitions is not None else hash_partition_count()
 
     def build():
         dec = ray.data.from_arrow_refs(
@@ -473,7 +462,6 @@ def curated_doc_release(sf_dir: str, out_dir: str | None = None,
     manifest replay every release sink uses."""
     import ray
 
-    from .dedup import _hash_partition_count
     from .filters import doc_curation_full
 
     if out_dir is None:
@@ -522,7 +510,7 @@ def curated_doc_release(sf_dir: str, out_dir: str | None = None,
         ).append_column(
             "fp", pa.array(_fingerprints(sids, digests), pa.int64()))
 
-    n_co = n_partitions if n_partitions is not None else _hash_partition_count()
+    n_co = n_partitions if n_partitions is not None else hash_partition_count()
 
     def build():
         dec = ray.data.from_arrow_refs(

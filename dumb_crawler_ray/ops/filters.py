@@ -42,15 +42,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import remote_kwargs
-from .dedup import _hash_partition_count, _shingles, _stable64_batch
-from .text import TOKEN_REGEX
-
-
-def _docs(sf_dir: str, columns):
-    import ray
-
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+from ..rayutil import hash_partition_count, keyed_colocate, remote_kwargs
+from .dedup import _shingles, _stable64_batch
+from .text import TOKEN_REGEX, _docs
 
 
 # ------------------------------------------------------------ gopher rules
@@ -235,7 +229,6 @@ def contamination_overlap(sf_dir: str, n_partitions: int | None = None):
     never shuffles (64-bit identity hashes), the benchmark set is never
     broadcast, and the driver never sees more than the final one-row-per-
     doc table."""
-    import ray
     from ray.data.aggregate import Sum
 
     def explode(t: pa.Table) -> pa.Table:
@@ -297,30 +290,18 @@ def contamination_overlap(sf_dir: str, n_partitions: int | None = None):
         )
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    # keyed repartition needs the scoped HASH_SHUFFLE strategy; the
-    # downstream groupby must NOT inherit it (200-partition aggregator
-    # actors deadlock small clusters) — materialize inside the scope and
-    # rebuild from plasma blocks outside (the ops/cc.py pattern)
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        shared_mat = (
-            _docs(sf_dir, ["doc_id", "text"])
-            .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
-            .repartition(n_partitions, keys=["sh"])
-            .map_batches(shared_in_block, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .map_batches(
-                lambda b: b.append_column(
-                    "n_part", pa.array([0] * len(b), pa.int64())),
-                batch_format="pyarrow", **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-    shared = ray.data.from_arrow_refs(list(shared_mat.to_arrow_refs()))
+        n_partitions = hash_partition_count()
+    shared = keyed_colocate(lambda: (
+        _docs(sf_dir, ["doc_id", "text"])
+        .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
+        .repartition(n_partitions, keys=["sh"])
+        .map_batches(shared_in_block, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+        .map_batches(
+            lambda b: b.append_column(
+                "n_part", pa.array([0] * len(b), pa.int64())),
+            batch_format="pyarrow", **remote_kwargs())
+    ))
     base = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         base_rows, batch_format="pyarrow", **remote_kwargs())
     agg = (
@@ -383,7 +364,6 @@ def line_dedup_stats(sf_dir: str, chunk: int = 0,
     block-local segment totals mark dup instances with per-(block, doc)
     partial counts, a final groupby-sum lands one row per doc. Line TEXT
     never shuffles; global line counts are never collected anywhere."""
-    import ray
     from ray.data.aggregate import Sum
 
     def explode(t: pa.Table) -> pa.Table:
@@ -431,27 +411,18 @@ def line_dedup_stats(sf_dir: str, chunk: int = 0,
         )
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    # same scoped-shuffle / rebuild-outside shape as contamination_overlap
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        dups_mat = (
-            _docs(sf_dir, ["doc_id", "text"])
-            .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
-            .repartition(n_partitions, keys=["lh"])
-            .map_batches(dup_in_block, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .map_batches(
-                lambda b: b.append_column(
-                    "lines_part", pa.array([0] * len(b), pa.int64())),
-                batch_format="pyarrow", **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-    dups = ray.data.from_arrow_refs(list(dups_mat.to_arrow_refs()))
+        n_partitions = hash_partition_count()
+    dups = keyed_colocate(lambda: (
+        _docs(sf_dir, ["doc_id", "text"])
+        .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
+        .repartition(n_partitions, keys=["lh"])
+        .map_batches(dup_in_block, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+        .map_batches(
+            lambda b: b.append_column(
+                "lines_part", pa.array([0] * len(b), pa.int64())),
+            batch_format="pyarrow", **remote_kwargs())
+    ))
     base = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         base_rows, batch_format="pyarrow", **remote_kwargs())
     agg = (
@@ -744,7 +715,7 @@ CONTAM_CLONE_PERIOD = 50   # every 50th doc (an eval member) cloned to train
 CONTAM_CLONE_OFFSET = 1_000_001  # offset breaks doc_id % 10 ≡ 0 (eval-ness)
 
 
-def eval_decontaminate(sf_dir: str, force_distributed: bool = False):
+def eval_decontaminate(sf_dir: str):
     """Document-level train/eval decontamination (the companion of the
     k-gram `contamination_overlap`): a TRAIN doc is contaminated when
     its exact text fingerprint (md5 of lowercased text) also appears in
@@ -757,14 +728,13 @@ def eval_decontaminate(sf_dir: str, force_distributed: bool = False):
 
     Scale shape (the size-gated anti-join): the eval fingerprint set is
     collected and broadcast once below `BROADCAST_ROW_LIMIT`; above it
-    (or under `force_distributed`) fingerprints ride the dataset — eval
-    fp rows ∪ train rows co-locate in ONE keyed repartition on fp and
-    each block flags locally. Both paths equivalence-tested."""
+    fingerprints ride the dataset — eval fp rows ∪ train rows co-locate
+    in ONE keyed repartition on fp and each block flags locally. Both
+    paths equivalence-tested."""
     import hashlib
 
     import ray
 
-    from .dedup import _hash_partition_count
     from .relational import BROADCAST_ROW_LIMIT
 
     def rows(t: pa.Table) -> pa.Table:
@@ -780,8 +750,7 @@ def eval_decontaminate(sf_dir: str, force_distributed: bool = False):
                          "fp": pa.array(out_fps, pa.string())})
 
     def base_ds():
-        # datasets capture their DataContext at creation: the distributed
-        # path must rebuild this chain under the scoped HASH_SHUFFLE
+        # the distributed path rebuilds this chain inside keyed_colocate
         return _docs(sf_dir, ["doc_id", "text"]).map_batches(
             rows, batch_format="pyarrow", **remote_kwargs())
 
@@ -794,19 +763,17 @@ def eval_decontaminate(sf_dir: str, force_distributed: bool = False):
                                    dtype=object))
         return pa.table({"fp": pa.array(fps.tolist(), pa.string())})
 
-    fp_set: set | None = None
-    if not force_distributed:
-        # ONE streaming pass over per-block distinct fps; abort to the
-        # distributed path the moment the set outgrows the gate (so the
-        # gate is exact on the DISTINCT count, with no pre-pass)
-        fp_set = set()
-        for b in base.map_batches(eval_fps_partial, batch_format="pyarrow",
-                                  **remote_kwargs()).iter_batches(
-                batch_format="pyarrow", batch_size=None):
-            fp_set.update(b.column("fp").to_pylist())
-            if len(fp_set) > BROADCAST_ROW_LIMIT:
-                fp_set = None
-                break
+    # ONE streaming pass over per-block distinct fps; abort to the
+    # distributed path the moment the set outgrows the gate (so the gate
+    # is exact on the DISTINCT count, with no pre-pass)
+    fp_set: set | None = set()
+    for b in base.map_batches(eval_fps_partial, batch_format="pyarrow",
+                              **remote_kwargs()).iter_batches(
+            batch_format="pyarrow", batch_size=None):
+        fp_set.update(b.column("fp").to_pylist())
+        if len(fp_set) > BROADCAST_ROW_LIMIT:
+            fp_set = None
+            break
     if fp_set is not None:
         fp_ref = ray.put(fp_set)
 
@@ -851,9 +818,7 @@ def eval_decontaminate(sf_dir: str, force_distributed: bool = False):
              "contaminated": pa.array(np.isin(fps[train], ev_fps),
                                       pa.bool_())})
 
-    from ..rayutil import keyed_colocate
-
-    n_parts = max(2, min(8, _hash_partition_count()))
+    n_parts = max(2, min(8, hash_partition_count()))
     return keyed_colocate(lambda: (
         base_ds().map_batches(split_rows, batch_format="pyarrow",
                               **remote_kwargs())
@@ -911,7 +876,6 @@ def pack_sequences(sf_dir: str, budget: int = PACK_BUDGET,
     cumulative scan per group segment → bin_id = grp·1000 + in-group bin.
     Groups are small (`group` docs) so no segment scan ever sees more
     than `group` rows; shuffle volume is one row per doc of three ints."""
-    import ray
 
     def explode(t: pa.Table) -> pa.Table:
         n_tok = pc.cast(
@@ -942,22 +906,14 @@ def pack_sequences(sf_dir: str, budget: int = PACK_BUDGET,
         )
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        packed_mat = (
-            _docs(sf_dir, ["doc_id", "text"])
-            .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
-            .repartition(n_partitions, keys=["grp"])
-            .map_batches(pack_block, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-    packed = ray.data.from_arrow_refs(list(packed_mat.to_arrow_refs()))
+        n_partitions = hash_partition_count()
+    packed = keyed_colocate(lambda: (
+        _docs(sf_dir, ["doc_id", "text"])
+        .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
+        .repartition(n_partitions, keys=["grp"])
+        .map_batches(pack_block, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+    ))
     return packed.sort("doc_id")
 
 
@@ -984,7 +940,6 @@ def duplicated_text_share(sf_dir: str, n_partitions: int | None = None):
     its rows' counts duplicated; per-(block, doc) partial sums →
     groupby(doc).sum unioned with a (doc, n_grams, 0) base pass so
     clean and short (< DUP_K tokens) docs keep a row."""
-    import ray
     from ray.data.aggregate import Sum
 
     def explode(t: pa.Table) -> pa.Table:
@@ -1043,26 +998,18 @@ def duplicated_text_share(sf_dir: str, n_partitions: int | None = None):
                          "dup_grams": pa.array([0] * len(ids), pa.int64())})
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        dup_mat = (
-            _docs(sf_dir, ["doc_id", "text"])
-            .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
-            .repartition(n_partitions, keys=["sh"])
-            .map_batches(dup_in_block, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .map_batches(
-                lambda b: b.append_column(
-                    "n_grams", pa.array([0] * len(b), pa.int64())),
-                batch_format="pyarrow", **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-    dup = ray.data.from_arrow_refs(list(dup_mat.to_arrow_refs()))
+        n_partitions = hash_partition_count()
+    dup = keyed_colocate(lambda: (
+        _docs(sf_dir, ["doc_id", "text"])
+        .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
+        .repartition(n_partitions, keys=["sh"])
+        .map_batches(dup_in_block, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+        .map_batches(
+            lambda b: b.append_column(
+                "n_grams", pa.array([0] * len(b), pa.int64())),
+            batch_format="pyarrow", **remote_kwargs())
+    ))
     base = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         base_rows, batch_format="pyarrow", **remote_kwargs())
 
@@ -1176,10 +1123,9 @@ def bigram_lm_scores(sf_dir: str, n_partitions: int | None = None):
     caps near 10^15 at ~10^12 corpus positions; beyond that a deployment
     moves the score to log-space (the model seam above).
     """
-    import ray
     from ray.data.aggregate import Sum
 
-    from .dedup import _hash_partition_count, _md5_64_batch
+    from .dedup import _md5_64_batch
 
     def doc_bigrams(t: pa.Table) -> pa.Table:
         doc_ids = t.column("doc_id").to_numpy()
@@ -1231,23 +1177,15 @@ def bigram_lm_scores(sf_dir: str, n_partitions: int | None = None):
                          "nb_part": pa.array(nb, pa.int64())})
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        mat = (
-            _docs(sf_dir, ["doc_id", "text"])
-            .map_batches(doc_bigrams, batch_format="pyarrow",
-                         **remote_kwargs())
-            .repartition(n_partitions, keys=["bkey"])
-            .map_batches(totals_and_partials, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-    parts = ray.data.from_arrow_refs(list(mat.to_arrow_refs()))
+        n_partitions = hash_partition_count()
+    parts = keyed_colocate(lambda: (
+        _docs(sf_dir, ["doc_id", "text"])
+        .map_batches(doc_bigrams, batch_format="pyarrow",
+                     **remote_kwargs())
+        .repartition(n_partitions, keys=["bkey"])
+        .map_batches(totals_and_partials, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+    ))
 
     def finish(t: pa.Table) -> pa.Table:
         fs = t.column("sum(fs_part)").to_numpy()
@@ -1293,7 +1231,6 @@ def substring_dedup(sf_dir: str, n_partitions: int | None = None,
     (difference-array cumsum) rebuilds the kept text. Shuffle payload is
     one int32 per gram position plus each doc's text once — never gram
     strings, never pairwise work."""
-    import ray
 
     def explode(t: pa.Table) -> pa.Table:
         doc_ids = t.column("doc_id").to_numpy()
@@ -1387,11 +1324,9 @@ def substring_dedup(sf_dir: str, n_partitions: int | None = None,
                          "dedup_text": pa.array(out_txt, pa.string())})
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
+        n_partitions = hash_partition_count()
+
+    def build():
         dup = (
             _docs(sf_dir, ["doc_id", "text"])
             .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
@@ -1401,19 +1336,14 @@ def substring_dedup(sf_dir: str, n_partitions: int | None = None,
         )
         base = _docs(sf_dir, ["doc_id", "text"]).map_batches(
             doc_side, batch_format="pyarrow", **remote_kwargs())
-        applied = (
+        return (
             base.union(dup)
             .repartition(n_partitions, keys=["doc_id"])
             .map_batches(apply, batch_format="pyarrow",
                          batch_size=None, **remote_kwargs())
-            .materialize()
         )
-    finally:
-        ctx.shuffle_strategy = prev
-    import ray as _ray
 
-    return _ray.data.from_arrow_refs(
-        list(applied.to_arrow_refs())).sort("doc_id")
+    return keyed_colocate(build).sort("doc_id")
 
 
 # --------------------------------- DSIR-style importance weights (mixture)
@@ -1554,11 +1484,10 @@ def doc_curation_full(sf_dir: str, n_partitions: int | None = None):
 
     import ray
 
-    from ..rayutil import keyed_colocate
     from .dedup import near_dup_clusters
     from .text import normalize_expr
 
-    n_parts = n_partitions or max(2, min(8, _hash_partition_count()))
+    n_parts = n_partitions or max(2, min(8, hash_partition_count()))
 
     def fused(t: pa.Table) -> pa.Table:
         feats = gopher_features(t.column("text"))

@@ -39,7 +39,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..rayutil import remote_kwargs
+from ..rayutil import (hash_partition_count, hash_shuffle, keyed_colocate,
+                       remote_kwargs)
 
 PR_SCALE = 10**9              # initial rank per node (fixed-point unit)
 PR_DAMP_NUM, PR_DAMP_DEN = 85, 100
@@ -68,7 +69,7 @@ def page_rank(pages_parquet: str, iters: int = PR_ITERS,
     import ray
 
     if n_partitions is None:
-        # unlike the single-exchange ops (which use _hash_partition_count
+        # unlike the single-exchange ops (which use hash_partition_count
         # = cpus/2), the lazy iteration chain runs 2·iters+1 hash-shuffle
         # operators CONCURRENTLY, each with its own aggregator-actor pool:
         # P must be sized so the pools together fit the cluster (measured
@@ -173,10 +174,7 @@ def page_rank(pages_parquet: str, iters: int = PR_ITERS,
         return pa.table({"key": pa.array(uk.tolist(), pa.string()),
                          "r": pa.array(r, pa.int64())})
 
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
+    with hash_shuffle():
         pages = ray.data.read_parquet(pages_parquet,
                                       columns=["url", "outlinks"])
         # --- edge table: existence semi-join (key=dst) → outdeg (key=src)
@@ -249,8 +247,6 @@ def page_rank(pages_parquet: str, iters: int = PR_ITERS,
                              batch_size=None, **remote_kwargs())
             )
         ranks = ranks.materialize()
-    finally:
-        ctx.shuffle_strategy = prev
 
     def present(t: pa.Table) -> pa.Table:
         return pa.table({"url": t.column("key"),
@@ -281,8 +277,7 @@ def page_indegree(pages_parquet: str, n_partitions: int | None = None):
     import ray
 
     if n_partitions is None:
-        from .dedup import _hash_partition_count
-        n_partitions = _hash_partition_count()
+        n_partitions = hash_partition_count()
 
     def edge_rows(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -346,13 +341,10 @@ def page_indegree(pages_parquet: str, n_partitions: int | None = None):
                          "in_degree": pa.array(deg, pa.int64()),
                          "n_ref_domains": pa.array(nd, pa.int64())})
 
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
+    def build():
         pages = ray.data.read_parquet(pages_parquet,
                                       columns=["url", "outlinks"])
-        mat = (
+        return (
             pages.map_batches(edge_rows, batch_format="pyarrow",
                               **remote_kwargs())
             .union(pages.map_batches(node_rows, batch_format="pyarrow",
@@ -360,8 +352,6 @@ def page_indegree(pages_parquet: str, n_partitions: int | None = None):
             .repartition(n_partitions, keys=["key"])
             .map_batches(count_in, batch_format="pyarrow",
                          batch_size=None, **remote_kwargs())
-            .materialize()
         )
-    finally:
-        ctx.shuffle_strategy = prev
-    return ray.data.from_arrow_refs(list(mat.to_arrow_refs())).sort("url")
+
+    return keyed_colocate(build).sort("url")

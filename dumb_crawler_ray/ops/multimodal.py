@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..rayutil import actor_pool_size, remote_kwargs
+from ..rayutil import (actor_pool_size, hash_partition_count, keyed_colocate,
+                       remote_kwargs)
 from .vecutil import embedding_matrix
 
 from ..functions import codec
@@ -397,8 +398,6 @@ def phash_near_dup_pairs(images_parquet: str, max_hamming: int = 8,
     dedup IS the min). Nothing materializes on the driver."""
     import ray
 
-    from .dedup import _hash_partition_count
-
     def explode(t: pa.Table) -> pa.Table:
         ids = t.column("image_id").to_pylist()
         hashes = np.asarray(t.column("phash").to_pylist(), dtype=np.int64)
@@ -473,26 +472,18 @@ def phash_near_dup_pairs(images_parquet: str, max_hamming: int = 8,
              "hamming": pa.array(d[idx], pa.int64())})
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        mat = (
-            ray.data.read_parquet(images_parquet,
-                                  columns=["image_id", "phash"])
-            .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
-            .repartition(n_partitions, keys=["band_key"])
-            .map_batches(pairs_in_block, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .repartition(n_partitions, keys=["a", "b"])
-            .map_batches(dedup_block, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-    return ray.data.from_arrow_refs(list(mat.to_arrow_refs())).sort(["a", "b"])
+        n_partitions = hash_partition_count()
+    return keyed_colocate(lambda: (
+        ray.data.read_parquet(images_parquet,
+                              columns=["image_id", "phash"])
+        .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
+        .repartition(n_partitions, keys=["band_key"])
+        .map_batches(pairs_in_block, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+        .repartition(n_partitions, keys=["a", "b"])
+        .map_batches(dedup_block, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+    )).sort(["a", "b"])
 
 
 AESTHETIC_MIN = 5.0  # keep threshold on the 0-10 score (LAION-Aesthetics
@@ -570,18 +561,17 @@ def image_aesthetic_scores(images_parquet: str,
 
 
 def image_keeplist(images_parquet: str, max_hamming: int = 8,
-                   force_distributed: bool = False,
                    sort_output: bool = True):
     """Composite crawl→dedup finisher: phash near-dup pairs (distributed,
     see `phash_near_dup_pairs`) → connected components → one row per
     image with its cluster representative and the `keep` flag
     (representative only). Size-gated end to end: below
     CC_DRIVER_PAIR_LIMIT the component pass is driver union-find with a
-    broadcast rep map; above it (or `force_distributed`) labels stay a
-    DATASET through min-label propagation and the annotate is a
-    keyed-repartition co-location — no driver dict, no broadcast, so the
-    path holds even when the clustered set outgrows one machine. Both
-    paths produce identical output (equivalence-tested). The image-side
+    broadcast rep map; above it labels stay a DATASET through min-label
+    propagation and the annotate is a keyed-repartition co-location — no
+    driver dict, no broadcast, so the path holds even when the clustered
+    set outgrows one machine. Both paths produce identical output
+    (equivalence-tested). The image-side
     analogue of `dedup.near_dup_clusters`; deterministic; rows-only
     oracle."""
     import ray
@@ -591,7 +581,7 @@ def image_keeplist(images_parquet: str, max_hamming: int = 8,
     pairs = phash_near_dup_pairs(images_parquet, max_hamming=max_hamming)
     n_pairs = pairs.count()
 
-    if not force_distributed and n_pairs <= CC_DRIVER_PAIR_LIMIT:
+    if n_pairs <= CC_DRIVER_PAIR_LIMIT:
         # small side: driver union-find + broadcast rep map (one ray.put,
         # zero-copy read per task; map bounded by CLUSTERED images)
         reps = components_unionfind(
@@ -651,27 +641,23 @@ def image_keeplist(images_parquet: str, max_hamming: int = 8,
             }
         )
 
-    n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 4) / 2)))
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
+    n_parts = hash_partition_count()
+
+    def build():
         lab = ray.data.from_arrow_refs(
             list(labels.materialize().to_arrow_refs())
         ).map_batches(label_rows, batch_format="pyarrow", **remote_kwargs())
         imgs = ray.data.read_parquet(
             images_parquet, columns=["image_id"]
         ).map_batches(img_rows, batch_format="pyarrow", **remote_kwargs())
-        annotated = (
+        return (
             imgs.union(lab)
             .repartition(n_parts, keys=["node"])
             .map_batches(attach, batch_format="pyarrow", batch_size=None,
                          **remote_kwargs())
-            .materialize()
         )
-    finally:
-        ctx.shuffle_strategy = prev
-    out = ray.data.from_arrow_refs(list(annotated.to_arrow_refs()))
+
+    out = keyed_colocate(build)
     return out.sort("image_id") if sort_output else out
 
 
@@ -837,11 +823,9 @@ def _merge_by_image_id(build_sides, merge_block, n_parts: int | None = None):
     empty partitions), then apply `merge_block` block-locally. ONE
     all-to-all over the union instead of a full sort shuffle PER SIDE
     plus the zip's positional alignment."""
-    from ..rayutil import keyed_colocate
-    from .dedup import _hash_partition_count
 
     if n_parts is None:
-        n_parts = max(2, min(8, _hash_partition_count()))
+        n_parts = max(2, min(8, hash_partition_count()))
 
     def build():
         sides = [f() for f in build_sides]
@@ -957,7 +941,6 @@ def image_semantic_dedup(images_parquet: str, k: int | None = 8,
 
     from .ann import (_first_n_by_id_over, _normalize,
                       _semdedup_prune_block, _train_centroids_over)
-    from .dedup import _hash_partition_count
     from .vecutil import embedding_matrix
 
     emb = ray.data.read_parquet(
@@ -994,8 +977,7 @@ def image_semantic_dedup(images_parquet: str, k: int | None = 8,
         return _semdedup_prune_block(b, "image_id", pa.string(), "",
                                      threshold)
 
-    n_partitions = min(_hash_partition_count(), max(2, k))
-    from ..rayutil import keyed_colocate
+    n_partitions = min(hash_partition_count(), max(2, k))
 
     return keyed_colocate(lambda: (
         # `emb` was materialized under the default context: rebuild from
@@ -1286,8 +1268,6 @@ def image_exact_dedup(images_parquet: str, n_partitions: int | None = None,
     import pyarrow.compute as pc
     import ray
 
-    from .dedup import _hash_partition_count
-
     from .dedup import _md5_64_batch
 
     def fp_batch(t: pa.Table) -> pa.Table:
@@ -1319,23 +1299,15 @@ def image_exact_dedup(images_parquet: str, n_partitions: int | None = None,
              "n_copies": pc.cast(g.column("image_id_count"), pa.int64())})
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        mat = (
-            ray.data.read_parquet(images_parquet,
-                                  columns=["image_id", "bytes"])
-            .map_batches(fp_batch, batch_format="pyarrow", **remote_kwargs())
-            .repartition(n_partitions, keys=["fingerprint"])
-            .map_batches(agg_block, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-    return ray.data.from_arrow_refs(list(mat.to_arrow_refs())).sort("keep_id")
+        n_partitions = hash_partition_count()
+    return keyed_colocate(lambda: (
+        ray.data.read_parquet(images_parquet,
+                              columns=["image_id", "bytes"])
+        .map_batches(fp_batch, batch_format="pyarrow", **remote_kwargs())
+        .repartition(n_partitions, keys=["fingerprint"])
+        .map_batches(agg_block, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+    )).sort("keep_id")
 
 
 # ------------------------------------- aspect-bucketed shard packing
@@ -1372,7 +1344,7 @@ def image_shard_pack(images_parquet: str, budget: int = IMG_SHARD_BUDGET,
     import pyarrow.dataset as pads
     import ray
 
-    from .dedup import _hash_partition_count, _md5_64_batch
+    from .dedup import _md5_64_batch
 
     n_rows = sum(f.count_rows() for f in
                  pads.dataset(images_parquet, format="parquet")
@@ -1430,23 +1402,15 @@ def image_shard_pack(images_parquet: str, budget: int = IMG_SHARD_BUDGET,
              "bin_id": pa.array(bins, pa.int64())})
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        mat = (
-            ray.data.read_parquet(
-                images_parquet, columns=["image_id", "w", "h", "bytes"])
-            .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
-            .repartition(n_partitions, keys=["w", "h", "grp"])
-            .map_batches(pack_block, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-    return ray.data.from_arrow_refs(list(mat.to_arrow_refs())).sort("image_id")
+        n_partitions = hash_partition_count()
+    return keyed_colocate(lambda: (
+        ray.data.read_parquet(
+            images_parquet, columns=["image_id", "w", "h", "bytes"])
+        .map_batches(explode, batch_format="pyarrow", **remote_kwargs())
+        .repartition(n_partitions, keys=["w", "h", "grp"])
+        .map_batches(pack_block, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+    )).sort("image_id")
 
 
 # ---------------------------------------- cross-modal alignment (CLIP-shape)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..rayutil import remote_kwargs
+from ..rayutil import hash_partition_count, keyed_colocate, remote_kwargs
 import pyarrow.compute as pc
 
 from . import (ann, bpe, dedup, export, filters, graph, media, multimodal,
@@ -132,7 +132,6 @@ def crawl_domain_stats(sf_dir: str):
     import ray
 
     from ..pipelines import semantics as S
-    from .dedup import _hash_partition_count
 
     r = _crawl_result()
 
@@ -211,9 +210,7 @@ def crawl_domain_stats(sf_dir: str):
              "failed": pa.array(x, pa.int64()),
              "stored": pa.array(s, pa.int64())})
 
-    from ..rayutil import keyed_colocate
-
-    n_parts = max(2, min(8, _hash_partition_count()))
+    n_parts = max(2, min(8, hash_partition_count()))
 
     def build():
         ins = ray.data.read_parquet(
@@ -253,7 +250,6 @@ def crawl_politeness_check(sf_dir: str):
 
     from ..config import JobConfig
     from ..sources.synthweb import DEFAULT_CONFIG
-    from .dedup import _hash_partition_count
 
     cap = JobConfig(DEFAULT_CONFIG).max_per_domain_per_round
     r = _crawl_result()
@@ -307,9 +303,7 @@ def crawl_politeness_check(sf_dir: str):
              "domain": pa.array(doms[uc % len(doms)].tolist(), pa.string()),
              "n_part": pa.array(counts.astype(np.int64), pa.int64())})
 
-    from ..rayutil import keyed_colocate
-
-    n_parts = max(2, min(8, _hash_partition_count()))
+    n_parts = max(2, min(8, hash_partition_count()))
 
     def build():
         ins = ray.data.read_parquet(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..rayutil import remote_kwargs
+from ..rayutil import hash_partition_count, keyed_colocate, remote_kwargs
 import pyarrow.compute as pc
 
 
@@ -120,13 +120,6 @@ def lineitem_agg(sf_dir: str):
     ).sort(["l_returnflag", "l_linestatus"])
 
 
-def _join_partitions() -> int:
-    """Join/hash partitions are actor-backed; size to the cluster."""
-    import ray
-
-    return max(2, min(16, int(ray.cluster_resources().get("CPU", 4) / 2)))
-
-
 # Dimension tables at or under this row count are broadcast (one `ray.put`
 # Arrow table + vectorized `pc.index_in` lookup per batch); above it the
 # plan switches to a native hash-shuffle `Dataset.join`. The same
@@ -202,7 +195,7 @@ def _fact_dim_join(fact, sf_dir: str, dim: str, fact_key: str, dim_key: str,
                                 **remote_kwargs())
     dim_ds = _read(sf_dir, dim, columns=[dim_key] + dim_cols)
     return fact.join(dim_ds, join_type="inner",
-                     num_partitions=_join_partitions(),
+                     num_partitions=hash_partition_count(),
                      on=(fact_key,), right_on=(dim_key,))
 
 
@@ -418,7 +411,7 @@ def order_priority_revenue(sf_dir: str, num_partitions: int | None = None):
         )
 
     if num_partitions is None:
-        num_partitions = _join_partitions()
+        num_partitions = hash_partition_count()
     # Ray's hash-join aggregator cannot finalize over a 0-row input;
     # footer metadata makes the guard free
     if (_parquet_num_rows(sf_dir, "lineitem") == 0
@@ -812,8 +805,6 @@ def retention_cohorts(sf_dir: str, n_partitions: int | None = None):
     import ray
     from ray.data.aggregate import Sum
 
-    from .dedup import _hash_partition_count
-
     def pairs(t: pa.Table) -> pa.Table:
         us = t.column("user_id").to_numpy()
         wk = pc.cast(t.column("ts"), pa.int64()).to_numpy() // WEEK_US
@@ -843,23 +834,15 @@ def retention_cohorts(sf_dir: str, n_partitions: int | None = None):
                          "n_part": pa.array(cnt.astype(np.int64), pa.int64())})
 
     if n_partitions is None:
-        n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        mat = (
-            ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                  columns=["user_id", "ts"])
-            .map_batches(pairs, batch_format="pyarrow", **remote_kwargs())
-            .repartition(n_partitions, keys=["user_id"])
-            .map_batches(cohort_partials, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-    parts = ray.data.from_arrow_refs(list(mat.to_arrow_refs()))
+        n_partitions = hash_partition_count()
+    parts = keyed_colocate(lambda: (
+        ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                              columns=["user_id", "ts"])
+        .map_batches(pairs, batch_format="pyarrow", **remote_kwargs())
+        .repartition(n_partitions, keys=["user_id"])
+        .map_batches(cohort_partials, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+    ))
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table({"cohort": t.column("cohort"),

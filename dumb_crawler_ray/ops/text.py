@@ -12,7 +12,8 @@ import re
 import numpy as np
 import pyarrow as pa
 
-from ..rayutil import actor_pool_size, remote_kwargs
+from ..rayutil import (actor_pool_size, hash_partition_count, keyed_colocate,
+                       remote_kwargs)
 import pyarrow.compute as pc
 
 TOKEN_REGEX = r"[A-Za-z0-9]+"
@@ -338,8 +339,6 @@ def top_terms_per_doc(sf_dir: str, k: int = 3):
       groupby(doc_id).map_groups   pinned-order top-k per doc
 
     SQL oracle: the same two aggregations + row_number window."""
-    import ray
-
     from .relational import _parquet_num_rows
 
     # Ray's hash-join aggregator cannot finalize over a 0-row input
@@ -413,32 +412,22 @@ def top_terms_per_doc(sf_dir: str, k: int = 3):
             }
         )
 
-    # datasets capture the DataContext at creation — the WHOLE chain
-    # (reads included) must be built inside the scoped override
-    n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 4) / 2)))
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
+    n_parts = hash_partition_count()
+
+    def build():
         tf = _docs(sf_dir, ["doc_id", "text"]).map_batches(
             tf_explode, batch_format="pyarrow", **remote_kwargs()
         )
         df_rows = tf.map_batches(df_partial, batch_format="pyarrow",
                                  **remote_kwargs())
-        joined_mat = (
+        return (
             tf.union(df_rows)
             .repartition(n_parts, keys=["word"])
             .map_batches(attach_df, batch_format="pyarrow",
                          batch_size=None, **remote_kwargs())
-            .materialize()
         )
-    finally:
-        ctx.shuffle_strategy = prev
-    # a materialized dataset CAPTURES the context it was built under —
-    # rebuild from its plasma blocks (zero-copy) so the downstream
-    # groupby plans under the restored default strategy, not as a
-    # 200-partition hash shuffle
-    joined = ray.data.from_arrow_refs(list(joined_mat.to_arrow_refs()))
+
+    joined = keyed_colocate(build)
 
     def topk(g: pa.Table) -> pa.Table:
         tfs = g.column("tf").to_numpy()
@@ -734,7 +723,7 @@ def doc_split(sf_dir: str):
     )
 
 
-def leakage_safe_split(sf_dir: str, force_distributed: bool = False):
+def leakage_safe_split(sf_dir: str):
     """Dedup-aware train/val/test split: every member of a near-dup
     cluster lands in the SAME split — the leakage guard a corpus release
     needs on top of `doc_split` (a val doc's near-duplicate in train IS
@@ -751,12 +740,11 @@ def leakage_safe_split(sf_dir: str, force_distributed: bool = False):
 
     Scale shape: the rep map is bounded by CLUSTERED docs (pair members,
     ≪ corpus). Below `relational.BROADCAST_ROW_LIMIT` it is broadcast
-    once (`ray.put`) into a stateless map; above the gate (or under
-    `force_distributed`) reps ride the dataset: rep rows ∪ doc rows
-    through ONE keyed repartition on doc_id, block-local searchsorted
-    annotate — the `image_keeplist` scale path. Both paths are
-    equivalence-tested. FULL SQL oracle: the jaccard_clusters recursive
-    CTE + the doc_split md5 arithmetic.
+    once (`ray.put`) into a stateless map; above the gate reps ride the
+    dataset: rep rows ∪ doc rows through ONE keyed repartition on doc_id,
+    block-local searchsorted annotate — the `image_keeplist` scale path.
+    Both paths are equivalence-tested. FULL SQL oracle: the
+    jaccard_clusters recursive CTE + the doc_split md5 arithmetic.
     """
     import ray
 
@@ -783,7 +771,7 @@ def leakage_safe_split(sf_dir: str, force_distributed: bool = False):
              "bucket": pa.array(buckets, pa.int64()),
              "split": pa.array(split.tolist(), pa.string())})
 
-    if not force_distributed and len(reps_map) <= BROADCAST_ROW_LIMIT:
+    if len(reps_map) <= BROADCAST_ROW_LIMIT:
         reps_ref = ray.put(reps_map)
 
         def assign(t: pa.Table) -> pa.Table:
@@ -799,8 +787,6 @@ def leakage_safe_split(sf_dir: str, force_distributed: bool = False):
                 .sort("doc_id"))
 
     # scale path: reps dataset-resident, one keyed co-location exchange
-    from .dedup import _hash_partition_count
-
     rep_tb = pa.table(
         {"doc_id": pa.array(sorted(reps_map), pa.int64()),
          "rep": pa.array([reps_map[k] for k in sorted(reps_map)], pa.int64()),
@@ -830,23 +816,15 @@ def leakage_safe_split(sf_dir: str, force_distributed: bool = False):
             reps[hit] = rv[order][pos][hit]
         return finish_cols(doc_ids, reps)
 
-    n_partitions = _hash_partition_count()
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        mat = (
-            _docs(sf_dir, ["doc_id"])
-            .map_batches(doc_rows, batch_format="pyarrow", **remote_kwargs())
-            .union(ray.data.from_arrow(rep_tb))
-            .repartition(n_partitions, keys=["doc_id"])
-            .map_batches(annotate, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .materialize()
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-    return ray.data.from_arrow_refs(list(mat.to_arrow_refs())).sort("doc_id")
+    n_partitions = hash_partition_count()
+    return keyed_colocate(lambda: (
+        _docs(sf_dir, ["doc_id"])
+        .map_batches(doc_rows, batch_format="pyarrow", **remote_kwargs())
+        .union(ray.data.from_arrow(rep_tb))
+        .repartition(n_partitions, keys=["doc_id"])
+        .map_batches(annotate, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+    )).sort("doc_id")
 
 
 CMS_DEPTH = 4

@@ -34,7 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..ops.text import TOKEN_REGEX  # the SQL-oracle-checked definition
-from ..rayutil import remote_kwargs
+from ..rayutil import hash_partition_count, keyed_colocate, remote_kwargs
 
 _TAG_RE = r"<[^>]*>"
 
@@ -128,31 +128,18 @@ def curate_corpus(ckpt_dir: str, min_chars: int = 20,
         return out.append_column(
             "n_dups", pa.array((ends - starts).astype(np.int64), pa.int64()))
 
-    # keyed hash repartition needs HASH_SHUFFLE; datasets capture their
-    # DataContext at creation, so the whole chain (read included) is built
-    # under a scoped override, materialized, then rebuilt from its plasma
-    # blocks so the final sort plans under the restored default strategy.
-    n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 4) / 2)))
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
-    try:
-        curated_mat = (
-            ray.data.read_parquet(
-                f"{ckpt_dir}/pages",
-                columns=["url_hash", "url", "html", "round", "rank"],
-            )
-            .repartition(n_parts, keys=["url_hash"])
-            .map_batches(latest_in_block, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .map_batches(text_and_quality, batch_format="pyarrow",
-                         **remote_kwargs())
-            .repartition(n_parts, keys=["fingerprint"])
-            .map_batches(keep_one_in_block, batch_format="pyarrow",
-                         batch_size=None, **remote_kwargs())
-            .materialize()
+    n_parts = hash_partition_count()
+    return keyed_colocate(lambda: (
+        ray.data.read_parquet(
+            f"{ckpt_dir}/pages",
+            columns=["url_hash", "url", "html", "round", "rank"],
         )
-    finally:
-        ctx.shuffle_strategy = prev
-    return ray.data.from_arrow_refs(
-        list(curated_mat.to_arrow_refs())).sort("url_hash")
+        .repartition(n_parts, keys=["url_hash"])
+        .map_batches(latest_in_block, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+        .map_batches(text_and_quality, batch_format="pyarrow",
+                     **remote_kwargs())
+        .repartition(n_parts, keys=["fingerprint"])
+        .map_batches(keep_one_in_block, batch_format="pyarrow",
+                     batch_size=None, **remote_kwargs())
+    )).sort("url_hash")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pyarrow as pa
@@ -70,27 +71,55 @@ def remote_kwargs() -> dict:
     return {"runtime_env": {"env_vars": {"PYTHONPATH": path}}}
 
 
-def keyed_colocate(build_fn):
-    """Run ``build_fn()`` — a Dataset chain containing a keyed
-    ``repartition(keys=...)`` — under a scoped HASH_SHUFFLE
-    DataContext, materialize it, and return a dataset rebuilt from the
-    plasma blocks.
+def hash_partition_count() -> int:
+    """Partition count for one keyed hash exchange: half the cluster's
+    CPUs, floor 2, cap 32. Hash-shuffle partitions are backed by
+    aggregator actors; more partitions than CPUs deadlocks a small
+    cluster."""
+    import ray
 
-    This is THE mechanism for keyed co-location in this repo, extracted
-    because its two subtleties were each bitten once: (a) datasets
-    capture their DataContext at creation, so the WHOLE chain (reads
-    included) must be constructed inside ``build_fn`` while the scope is
-    active; (b) a dataset materialized under the scoped context must be
-    rebuilt via ``from_arrow_refs`` or downstream operations (sorts,
-    groupbys) plan under the captured HASH_SHUFFLE strategy and can
-    deadlock small clusters."""
+    return max(2, min(32, int(ray.cluster_resources().get("CPU", 4) / 2)))
+
+
+@contextlib.contextmanager
+def hash_shuffle():
+    """Scope ``ShuffleStrategy.HASH_SHUFFLE`` on the current DataContext,
+    which a keyed ``repartition(keys=...)`` needs in order to plan; the
+    previous strategy comes back on exit, also on error.
+
+    This is the one place the ops suite sets the shuffle strategy. Two
+    rules go with it:
+
+    - a dataset captures the DataContext it was created in, so the WHOLE
+      chain, reads included, must be built inside the scope — a handle
+      made before it still plans the keyed repartition under the default
+      strategy and refuses it;
+    - a dataset materialized inside the scope keeps the scoped strategy,
+      so downstream sorts and groupbys would plan as hash shuffles with
+      the default 200 aggregator partitions, which deadlocks a small
+      cluster. Rebuild it from its plasma blocks (``from_arrow_refs``,
+      zero-copy) after the scope ends, as `keyed_colocate` does.
+
+    Single-chain sites call `keyed_colocate`; only iterative builds
+    (min-label propagation, PageRank) hold the scope themselves."""
     import ray
 
     ctx = ray.data.DataContext.get_current()
     prev = ctx.shuffle_strategy
     ctx.shuffle_strategy = ray.data.context.ShuffleStrategy.HASH_SHUFFLE
     try:
-        mat = build_fn().materialize()
+        yield
     finally:
         ctx.shuffle_strategy = prev
+
+
+def keyed_colocate(build_fn):
+    """Run ``build_fn()`` — a Dataset chain containing a keyed
+    ``repartition(keys=...)`` — under `hash_shuffle`, materialize it,
+    and return a dataset rebuilt from the plasma blocks, so later
+    operations plan under the restored default strategy."""
+    import ray
+
+    with hash_shuffle():
+        mat = build_fn().materialize()
     return ray.data.from_arrow_refs(list(mat.to_arrow_refs()))

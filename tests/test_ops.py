@@ -421,14 +421,17 @@ def test_curated_doc_release_reconciles_and_resumes(ray_session, tmp_path):
     assert {f: os.path.getmtime(f) for f in shard_files} == mtimes
 
 
-def test_leakage_safe_split_guard_and_paths(ray_session):
+def test_leakage_safe_split_guard_and_paths(ray_session, monkeypatch):
     """Near-dup cluster members MUST share a split (the leakage guard),
     and the broadcast and dataset-resident annotate paths must agree."""
+    from dumb_crawler_ray.ops import relational
     from dumb_crawler_ray.ops.dedup import ngram_jaccard_pairs
     from dumb_crawler_ray.ops.text import leakage_safe_split
 
     fast = leakage_safe_split(SF).to_pandas()
-    dist = leakage_safe_split(SF, force_distributed=True).to_pandas()
+    with monkeypatch.context() as m:
+        m.setattr(relational, "BROADCAST_ROW_LIMIT", -1)  # scale path
+        dist = leakage_safe_split(SF).to_pandas()
     pd.testing.assert_frame_equal(fast, dist)
     split_of = dict(zip(fast["doc_id"], fast["split"]))
     pairs = ngram_jaccard_pairs(SF).to_pandas()
@@ -468,7 +471,7 @@ def test_page_rank_partition_independent(ray_session, tmp_path):
     assert ranks["u/a"] > graph.PR_BASE  # hub links back
 
 
-def test_component_reps_chain_vs_unionfind(ray_session):
+def test_component_reps_chain_vs_unionfind(ray_session, monkeypatch):
     """Distributed min-label propagation must agree with driver union-find
     on a graph that needs MANY propagation rounds (a long chain) plus
     disjoint components and string ids."""
@@ -483,7 +486,8 @@ def test_component_reps_chain_vs_unionfind(ray_session):
     b = list(range(1, 12)) + [101, 102, 102] + [201]
     pairs = pa.table({"a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
     uf = cc.components_unionfind([pairs])
-    dist = cc.component_reps(ray.data.from_arrow(pairs), force_distributed=True)
+    monkeypatch.setattr(cc, "CC_DRIVER_PAIR_LIMIT", -1)  # scale path
+    dist = cc.component_reps(ray.data.from_arrow(pairs))
     assert uf == dist
     assert all(v == 0 for k, v in uf.items() if k <= 11)
 
@@ -491,19 +495,20 @@ def test_component_reps_chain_vs_unionfind(ray_session):
     sb = [f"img{i:03d}" for i in (2, 3, 6)]
     spairs = pa.table({"a": pa.array(sa), "b": pa.array(sb)})
     assert cc.components_unionfind([spairs]) == cc.component_reps(
-        ray.data.from_arrow(spairs), force_distributed=True)
+        ray.data.from_arrow(spairs))
 
 
-def test_keeplist_paths_equivalent(registry, ray_session):
+def test_keeplist_paths_equivalent(registry, ray_session, monkeypatch):
     """image_keeplist via the driver union-find and via distributed
     min-label propagation must produce identical keep-lists."""
-    from dumb_crawler_ray.ops import multimodal
+    from dumb_crawler_ray.ops import cc, multimodal
     from dumb_crawler_ray.ops.registry import _fixture_dir
 
     imgs = f"{_fixture_dir()}/images.parquet"
     small = to_df(multimodal.image_keeplist(imgs)).reset_index(drop=True)
-    big = to_df(multimodal.image_keeplist(imgs, force_distributed=True)
-                ).reset_index(drop=True)
+    with monkeypatch.context() as m:
+        m.setattr(cc, "CC_DRIVER_PAIR_LIMIT", -1)  # scale path
+        big = to_df(multimodal.image_keeplist(imgs)).reset_index(drop=True)
     pd.testing.assert_frame_equal(small, big)
     assert small["keep"].sum() < len(small)  # planted dups actually cluster
 
@@ -738,15 +743,19 @@ def test_bpe_train_matches_local(registry, ray_session):
     assert len(got) == 8
 
 
-def test_eval_decontaminate_paths_and_planted(registry, ray_session):
+def test_eval_decontaminate_paths_and_planted(registry, ray_session,
+                                              monkeypatch):
     """The broadcast and keyed-co-location anti-join paths must agree
     exactly, and every planted eval clone must come back flagged."""
+    from dumb_crawler_ray.ops import relational
     from dumb_crawler_ray.ops.filters import (CONTAM_CLONE_OFFSET,
                                               CONTAM_CLONE_PERIOD,
                                               eval_decontaminate)
 
     fast = to_df(eval_decontaminate(SF))
-    dist = to_df(eval_decontaminate(SF, force_distributed=True))
+    with monkeypatch.context() as m:
+        m.setattr(relational, "BROADCAST_ROW_LIMIT", -1)  # scale path
+        dist = to_df(eval_decontaminate(SF))
     pd.testing.assert_frame_equal(fast.reset_index(drop=True),
                                   dist.reset_index(drop=True))
     clones = fast[fast["doc_id"] >= CONTAM_CLONE_OFFSET]
@@ -2258,3 +2267,38 @@ def test_bm25_topk_matches_sql_and_invariants(registry, ray_session):
     for did in df[df["query_id"] == "q2"]["doc_id"]:
         toks = set(_re.findall(TOKEN_REGEX, texts[did].lower()))
         assert toks & set(q2_terms), did
+
+
+def test_only_rayutil_sets_shuffle_strategy():
+    """The hash-shuffle scope lives in one place: `rayutil.hash_shuffle`
+    (used by `rayutil.keyed_colocate`). Every other module reaches it
+    through those two, so no module but rayutil.py may assign a
+    DataContext's `shuffle_strategy`."""
+    import ast
+    import pathlib
+
+    import dumb_crawler_ray
+
+    pkg = pathlib.Path(dumb_crawler_ray.__file__).parent
+    sites = []
+    for path in sorted(pkg.rglob("*.py")):
+        if path.name == "rayutil.py" and path.parent == pkg:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "setattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)
+                  and node.args[1].value == "shuffle_strategy"):
+                sites.append(f"{path.relative_to(pkg)}:{node.lineno}")
+            for t in targets:
+                for sub in ast.walk(t):
+                    if (isinstance(sub, ast.Attribute)
+                            and sub.attr == "shuffle_strategy"):
+                        sites.append(f"{path.relative_to(pkg)}:{node.lineno}")
+    assert not sites, f"shuffle_strategy set outside rayutil.py: {sites}"
