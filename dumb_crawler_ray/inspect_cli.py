@@ -44,7 +44,7 @@ def summary(ckpt_dir: str) -> None:
         for k in sorted(m["counters"]):
             print(f"  {k:<28} {m['counters'][k]}")
     for name in ("pages", "pages_failed", "images", "frontier_inserts",
-                 "frontier_updates", "order", "lineage", "robots"):
+                 "frontier_updates", "lineage", "robots"):
         ds = _tbl(ckpt_dir, name)
         if ds is not None:
             print(f"{name:<17} {ds.count_rows()} rows, {len(ds.files)} fragments")

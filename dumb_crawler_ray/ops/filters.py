@@ -1424,6 +1424,13 @@ def dsir_importance_weights(sf_dir: str):
         raw[int(r["bucket"])] = int(r["sum(raw_c)"])
         tgt[int(r["bucket"])] = int(r["sum(tgt_c)"])
     R, T = int(sum(raw)), int(sum(tgt))
+    # the weighed docs are the histogram's own (mat[d, b] <= raw[b]), so a
+    # weight sum(mat[d, b] * score[b]) < sum(SCALE * (tgt[b] + 1) * (R + B)
+    # / (T + B)) = SCALE * (R + B); past int64 `mat @ score` would wrap
+    if DSIR_SCALE * (R + DSIR_BUCKETS) > np.iinfo(np.int64).max:
+        raise OverflowError(
+            f"dsir_importance_weights: {R} bigrams at DSIR_SCALE "
+            f"{DSIR_SCALE} can give weights beyond int64")
     score = np.asarray(
         [(DSIR_SCALE * (int(tgt[b]) + 1) * (R + DSIR_BUCKETS))
          // ((int(raw[b]) + 1) * (T + DSIR_BUCKETS))

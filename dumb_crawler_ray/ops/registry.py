@@ -243,8 +243,8 @@ def crawl_domain_stats(sf_dir: str):
 def crawl_politeness_check(sf_dir: str):
     """North-rule compliance as a queryable artifact: per-(round, domain)
     fetch counts with the politeness cap and an `ok` column that must be
-    all-true — computed DISTRIBUTED over the checkpoint (order rows ∪
-    frontier_inserts domain attribution co-locate on url_hash, the
+    all-true — computed DISTRIBUTED over the checkpoint (frontier_updates
+    rows ∪ frontier_inserts domain attribution co-locate on url_hash, the
     `crawl_domain_stats` shape). FULL recursive-CTE oracle."""
     import ray
 
@@ -260,7 +260,7 @@ def crawl_politeness_check(sf_dir: str):
              "domain": t.column("domain"),
              "round": pa.nulls(len(t), pa.int64())})
 
-    def order_rows(t: pa.Table) -> pa.Table:
+    def fetch_rows(t: pa.Table) -> pa.Table:
         return pa.table(
             {"url_hash": t.column("url_hash"),
              "domain": pa.nulls(len(t), pa.string()),
@@ -272,7 +272,7 @@ def crawl_politeness_check(sf_dir: str):
                           "n_part": pa.array([], pa.int64())})
         if len(b) == 0:
             return empty
-        # order-independent: map each FETCH EVENT (order row) to the
+        # order-independent: map each FETCH EVENT (update row) to the
         # hash's unique insert-time domain attribution and count every
         # event — no per-hash collapse, so a hash fetched in several
         # rounds (retries) counts once per round, and block row order
@@ -310,11 +310,11 @@ def crawl_politeness_check(sf_dir: str):
             f"{r.ckpt_dir}/frontier_inserts",
             columns=["url_hash", "domain"],
         ).map_batches(ins_rows, batch_format="pyarrow", **remote_kwargs())
-        order = ray.data.read_parquet(
-            f"{r.ckpt_dir}/order", columns=["url_hash", "round"],
-        ).map_batches(order_rows, batch_format="pyarrow",
+        fetches = ray.data.read_parquet(
+            f"{r.ckpt_dir}/frontier_updates", columns=["url_hash", "round"],
+        ).map_batches(fetch_rows, batch_format="pyarrow",
                       **remote_kwargs())
-        return (ins.union(order)
+        return (ins.union(fetches)
                 .repartition(n_parts, keys=["url_hash"])
                 .map_batches(partial, batch_format="pyarrow",
                              batch_size=None, **remote_kwargs()))

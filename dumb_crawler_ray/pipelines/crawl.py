@@ -12,14 +12,16 @@ Per round r:
              validated image rows stream to per-round parquet fragments
              from inside the workers.
   3 APPLY    one message per shard: the rows to mark PROCESSING, their
-             fetch outcomes, the stored pages/images, and the candidates
+             fetch outcomes, the stored images, and the candidates
              (flattened in (rank, link_idx) order → first-occurrence per
              url_hash → bloom probe, whose negatives skip the exact lookup
              → hash-routed, IPC-encoded). Each shard applies its message
              in ONE `apply_round` call, exact insert-if-absent included.
-  4 COMMIT   counter/lineage/order deltas, frontier deltas and the robots
-             entries the replies carried go to the checkpoint; manifest
-             advance (atomic rename) ⇒ exact resume at round granularity.
+  4 COMMIT   counter/lineage deltas, frontier deltas (the round's
+             `frontier_updates` rows, in rank order, are also its crawl
+             order) and the robots entries the replies carried go to the
+             checkpoint; manifest advance (atomic rename) ⇒ exact resume
+             at round granularity.
 
 The driver handles only O(batch) control rows per round — selection, small
 candidate columns, counters. All heavy payloads stay in the workers. The
@@ -133,7 +135,7 @@ class CrawlPipeline:
         # result_lists=True (tests, small crawls) keeps the ordered
         # crawl_order / stored_* lists in driver memory for the
         # CrawlResult contract; at production scale pass False — identity
-        # already lives in the checkpoint (order/ pages/ images/ tables)
+        # already lives in the checkpoint (frontier_updates/ pages/ images/)
         # and the driver then holds NO per-URL state at all (membership
         # is on the shards, dedup pre-filter is the bloom).
         self.result_lists = result_lists
@@ -256,7 +258,7 @@ class CrawlPipeline:
     def _apply(self, msgs: dict) -> dict:
         """Send each shard its one `apply_round` message and fold the
         frontier deltas into counters and lineage. Returns the replies by
-        shard id (the stored page/image was-NEW flags live there)."""
+        shard id (the stored images' was-NEW flags live there)."""
         import ray
 
         sids = sorted(msgs)
@@ -462,24 +464,22 @@ class CrawlPipeline:
         n_allowed = int(allowed.sum())
         self.counters["IGNORED_LINKS"] += n - n_allowed
         self.counters["ALLOWED_LINKS"] += n_allowed
-        completes: dict[int, dict] = {}
-        order_rows: list = []
+        fr = result.filter(pa.array(allowed))  # rank order preserved
+        fr_sids = sids[allowed]
+        hashes = fr.column("url_hash").to_pylist()
+        errors = fr.column("error").to_pylist()
+        attempts = fr.column("attempt").to_numpy() + 1
+        err_mask = np.asarray([e is not None for e in errors], dtype=bool)
+        status = np.where(err_mask, S.FAILED, S.PROCESSED)
+        self._ckpt_updates(fr, status, attempts)
         stored = None
         if n_allowed:
-            fr = result.filter(pa.array(allowed))  # rank order preserved
-            fr_sids = sids[allowed]
-            hashes = fr.column("url_hash").to_pylist()
-            errors = fr.column("error").to_pylist()
-            attempts = fr.column("attempt").to_numpy() + 1
-            ranks = fr.column("rank").to_pylist()
             if self.result_lists:
                 self.crawl_order.extend(hashes)
             self._n_fetched += len(hashes)
-            order_rows = [(self.round, r, h) for r, h in zip(ranks, hashes)]
             self.counters["MAX_ATTEMPT_COUNT_REACHED"] += int(
                 (attempts >= maxa).sum()
             )
-            err_mask = np.asarray([e is not None for e in errors], dtype=bool)
             if err_mask.any():
                 for i in np.flatnonzero(err_mask):
                     self.counters[f"ERROR_{errors[i]}"] += 1
@@ -497,14 +497,17 @@ class CrawlPipeline:
                 self.counters["TOO_MANY_LINKS_PAGES"] += n_tml
             store_mask = fr.column("store_ok").to_numpy(zero_copy_only=False)
             st_idx = np.flatnonzero(store_mask)
+            # a record is completed once per crawl, so every stored page
+            # is new (UPDATED_PAGES stays 0)
             self.counters["SAVED_PAGES"] += len(st_idx)
+            self.counters["NEW_SAVED_PAGES"] += len(st_idx)
             self.counters["UNSAVED_PAGES"] += n_ok - len(st_idx)
             if len(st_idx):
-                st_hashes = [hashes[i] for i in st_idx]
-                img_lists = fr.column("image_ids").take(pa.array(st_idx)).to_pylist()
-                st_sids = fr_sids[st_idx]
-                stored = (st_hashes, st_sids, *self._note_stored(
-                    st_hashes, st_sids, img_lists, msgs))
+                if self.result_lists:
+                    self.stored_pages.extend(hashes[i] for i in st_idx)
+                stored = self._note_stored(
+                    fr.column("image_ids").take(pa.array(st_idx)).to_pylist(),
+                    msgs)
                 n_img_err = int(
                     pc.sum(fr.column("image_errors").take(pa.array(st_idx))).as_py()
                     or 0
@@ -512,10 +515,9 @@ class CrawlPipeline:
                 if n_img_err:
                     self.counters["IMAGE_VALIDATION_ERRORS"] += n_img_err
             # status completion for the owning shards, in rank order
-            status = np.where(err_mask, S.FAILED, S.PROCESSED)
             tags = fr.column("tags").to_pylist()
             for sid, idx in _groups(fr_sids):
-                completes[sid] = msgs[sid]["complete"] = {
+                msgs[sid]["complete"] = {
                     "url_hash": [hashes[i] for i in idx],
                     "status": status[idx].tolist(),
                     "error": [errors[i] for i in idx],
@@ -525,7 +527,6 @@ class CrawlPipeline:
                 lin = self._lineage(sid)
                 lin["fetched"] += int(len(idx))
                 lin["failed"] += int((status[idx] == S.FAILED).sum())
-        self._ckpt_updates(completes, order_rows)
         # candidates: empty lists on skipped/failed rows make flatten-all
         # exactly the success candidates in pinned order
         flat = pc.list_flatten(result.column("cand"))
@@ -534,38 +535,30 @@ class CrawlPipeline:
         replies = self._apply(msgs)
         if stored is None:
             return
-        st_hashes, page_sids, flat_imgs, img_sids = stored
-        page_new = _scatter(replies, "page_new", page_sids)
+        flat_imgs, img_sids = stored
         img_new = _scatter(replies, "image_new", img_sids)
-        n_new = int(page_new.sum())
-        self.counters["NEW_SAVED_PAGES"] += n_new
-        self.counters["UPDATED_PAGES"] += len(st_hashes) - n_new
         n_new_img = int(img_new.sum())
         self.counters["SAVED_IMAGES"] += n_new_img
         self.counters["DUP_IMAGE_REFS"] += len(flat_imgs) - n_new_img
         if self.result_lists:
-            self.stored_pages.extend(
-                h for h, f in zip(st_hashes, page_new) if f)
             self.stored_images.extend(
                 i for i, f in zip(flat_imgs, img_new) if f)
 
-    def _note_stored(self, st_hashes, st_sids, img_lists, msgs: dict):
-        """Route this round's stored pages/images into the owning shards'
-        round messages; the was-NEW flags come back in the `apply_round`
-        replies (the distributed NEW-vs-UPDATED / SAVED-vs-DUP decision —
-        the driver holds no cross-round membership sets and touches only
-        O(round) bools). Pages go to their record's shard (``st_sids``);
-        each image id routes to ONE shard and flat image order is page
-        order, so within-round duplicates resolve like the oracle's
-        sequential loop. Returns the flat image ids and their shards."""
+    def _note_stored(self, img_lists, msgs: dict):
+        """Route the images of this round's stored pages (one id list per
+        page, in store order) into the owning shards' round messages;
+        the was-NEW flags come back in the `apply_round` replies (the
+        distributed SAVED-vs-DUP decision — the driver holds no
+        cross-round image set and touches only O(round) bools). Each
+        image id routes to ONE shard and flat image order is page order,
+        so within-round duplicates resolve like the oracle's sequential
+        loop. Returns the flat image ids and their shards."""
         from ..state.frontier import image_shard_of_batch
 
         flat_imgs = [iid for lst in img_lists for iid in lst]
         img_sids = image_shard_of_batch(flat_imgs, self.n_shards)
-        for key, ids, sids in (("pages", st_hashes, st_sids),
-                               ("images", flat_imgs, img_sids)):
-            for sid, idx in _groups(sids):
-                msgs.setdefault(sid, {})[key] = [ids[i] for i in idx]
+        for sid, idx in _groups(img_sids):
+            msgs.setdefault(sid, {})["images"] = [flat_imgs[i] for i in idx]
         return flat_imgs, img_sids
 
     # ---------------------------------------------------------- lineage
@@ -615,35 +608,24 @@ class CrawlPipeline:
             cand.select(["url", "url_hash", "domain", "tags", "priority"]),
             os.path.join(d, f"round={self.round:06d}.parquet"))
 
-    def _ckpt_updates(self, completes: dict, order_rows: list):
+    def _ckpt_updates(self, fr: pa.Table, status, attempts):
+        """The round's fetch outcomes, one row per schedule-allowed URL in
+        rank order: each shard's `complete` rows on restore, and, sorted
+        by (round, rank), the crawl order."""
         if not self.ckpt_dir:
             return
         d = self._ckpt_path("frontier_updates")
         os.makedirs(d, exist_ok=True)
-        flat = {"url_hash": [], "status": [], "error": [], "tags": [], "attempt": []}
-        for c in completes.values():
-            for k in flat:
-                flat[k].extend(c[k])
-        t = pa.table(
-            {
-                "url_hash": pa.array(flat["url_hash"], pa.string()),
-                "status": pa.array(flat["status"], pa.int64()),
-                "error": pa.array(flat["error"], pa.string()),
-                "tags": pa.array(flat["tags"], pa.list_(pa.string())),
-                "attempt": pa.array(flat["attempt"], pa.int64()),
-            }
-        )
+        t = pa.table({
+            "round": pa.array(np.full(len(fr), self.round), pa.int64()),
+            "rank": fr.column("rank"),
+            "url_hash": fr.column("url_hash"),
+            "status": pa.array(status, pa.int64()),
+            "error": fr.column("error"),
+            "tags": fr.column("tags"),
+            "attempt": pa.array(attempts, pa.int64()),
+        })
         pq.write_table(t, os.path.join(d, f"round={self.round:06d}.parquet"))
-        do = self._ckpt_path("order")
-        os.makedirs(do, exist_ok=True)
-        ot = pa.table(
-            {
-                "round": pa.array([r for r, _, _ in order_rows], pa.int64()),
-                "rank": pa.array([r for _, r, _ in order_rows], pa.int64()),
-                "url_hash": pa.array([h for _, _, h in order_rows], pa.string()),
-            }
-        )
-        pq.write_table(ot, os.path.join(do, f"round={self.round:06d}.parquet"))
 
     def _ckpt_robots(self):
         """Persist newly-cached robots entries per round: robots DECISIONS
@@ -669,10 +651,10 @@ class CrawlPipeline:
         self._ckpt_robots()
         if not self.ckpt_dir:
             return
-        # O(1)-size manifest (counters + committed round only): stored-page
-        # identity lives in the per-round pages/images fragments and the
-        # order table; membership lives on the frontier shards. A 10^8-page
-        # crawl commits the same few KB every round.
+        # O(1)-size manifest (counters + committed round only): crawl order
+        # and stored-page identity live in the per-round frontier_updates
+        # and pages/images tables; image membership lives on the frontier
+        # shards. A 10^8-page crawl commits the same few KB every round.
         manifest = {
             "round": self.round,
             "seed": self.seed,
@@ -700,8 +682,8 @@ class CrawlPipeline:
             for name in os.listdir(base):
                 if name.startswith("round=") and round_of(name) > committed_round:
                     shutil.rmtree(os.path.join(base, name))
-        for sub in ("frontier_inserts", "frontier_updates", "order",
-                    "lineage", "robots"):
+        for sub in ("frontier_inserts", "frontier_updates", "lineage",
+                    "robots"):
             base = self._ckpt_path(sub)
             if not os.path.isdir(base):
                 continue
@@ -718,7 +700,7 @@ class CrawlPipeline:
         denial and the pinned first-offer-wins rule re-apply exactly);
         the driver rebuilds only its bloom (one compact hash64 array per
         shard) and — when `result_lists` is on — the ordered result lists
-        from the order/pages/images tables. Restore wall-time is
+        from the frontier_updates/pages/images tables. Restore wall-time is
         O(history / n_shards) per shard, flat in driver memory."""
         import ray
 
@@ -747,7 +729,7 @@ class CrawlPipeline:
 
             self._n_fetched = sum(
                 read_round(p, columns=["url_hash"]).num_rows
-                for _, p in round_entries(self._ckpt_path("order")))
+                for _, p in round_entries(self._ckpt_path("frontier_updates")))
         return True
 
     def _restore_result_lists(self):
@@ -761,8 +743,8 @@ class CrawlPipeline:
         from ..state.ckptio import read_round, round_entries
 
         self.crawl_order = []
-        for _rnd, path in round_entries(self._ckpt_path("order")):
-            t = read_round(path)
+        for _rnd, path in round_entries(self._ckpt_path("frontier_updates")):
+            t = read_round(path, columns=["rank", "url_hash"]).sort_by("rank")
             self.crawl_order.extend(t.column("url_hash").to_pylist())
 
         def first_occurrence(base: str, col: str) -> list:

@@ -1,14 +1,12 @@
 """Checkpoint delta-file layout helpers.
 
 Checkpoint tables are per-round: either ONE file `round=NNNNNN.parquet`
-(the driver's frontier deltas `frontier_inserts`, `frontier_updates`,
-`order`, plus `lineage` and `robots`) or a DIRECTORY
-`round=N/part-*.parquet` (the fetch workers' `pages`, `images` and
-`pages_failed` fragments; checkpoints written by older versions may also
-hold `frontier_inserts` rounds in this layout). Both layouts read back the
-same rows: within a round every url_hash appears at most once
-(post-dedup), so part order inside a round is immaterial; ROUND order is
-the replay order and is what these helpers pin down.
+(the driver's frontier deltas `frontier_inserts` and `frontier_updates`,
+plus `lineage` and `robots`) or a DIRECTORY `round=N/part-*.parquet` (the
+fetch workers' `pages`, `images` and `pages_failed` fragments). Both
+layouts read back the same rows: within a round every url_hash appears at
+most once (post-dedup), so part order inside a round is immaterial; ROUND
+order is the replay order and is what these helpers pin down.
 """
 
 from __future__ import annotations

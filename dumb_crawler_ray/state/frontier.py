@@ -13,6 +13,10 @@ Each shard holds, per SURVEY.md ST1/ST8:
   - per-domain politeness bookkeeping + robots rules cache
   - a lazy-deletion selection heap ordered by the pinned total order
     (priority DESC, attempt ASC, url_hash ASC — SURVEY.md K1)
+  - its hash64(image_id) slice of the stored-image set. There is no
+    stored-page set: a record leaves QUEUED only when selected and the
+    same round completes it, so its page is stored at most once per
+    crawl (the reference's one `links` row per URL, URLStore.java:171-183)
 
 Identity scope (documented trade-off of the sharded design): a url_hash's
 exact seen-record lives on the shard of ITS OWN domain, so a config whose
@@ -30,7 +34,8 @@ Scale note: at 10^10 URLs the in-memory record dict becomes a Lance/parquet
 key-range store per shard; the probe order (bloom → cuckoo → exact) is
 designed so that store is only consulted on cuckoo positives. Actors are
 soft state — `restore_from_ckpt` rebuilds a shard by replaying its
-partition of the checkpoint's per-round deltas, then requeues PROCESSING
+partition of the checkpoint's per-round deltas (`frontier_inserts`, then
+the `frontier_updates` rows of its records), then requeues PROCESSING
 orphans, mirroring the reference's orphan-reset resume
 (URLStore.java:54-58).
 """
@@ -53,6 +58,12 @@ R_URL, R_DOMAIN, R_TAGS, R_PRIORITY, R_STATUS, R_ATTEMPT, R_ERROR = range(7)
 
 # insert_candidates deltas of an empty or absent candidate batch
 NO_INSERT = {"discovered": 0, "robots_denied": 0, "exact_probes": 0}
+
+# cuckoo filter capacity of one shard's seen set
+SEEN_CAPACITY = 1 << 16
+
+# `complete` row fields — also the columns of a `frontier_updates` round
+UPDATE_COLUMNS = ("url_hash", "status", "error", "tags", "attempt")
 
 
 def shard_of_batch(domains, url_hashes, n_shards: int, hot_domains: frozenset) -> np.ndarray:
@@ -110,8 +121,7 @@ class FrontierShardState:
     without a Ray runtime."""
 
     def __init__(self, shard_id: int, respect_robots: bool,
-                 seen_capacity: int = 1 << 16, robots_fetcher=None,
-                 compact_terminal: bool = False):
+                 robots_fetcher=None, compact_terminal: bool = False):
         self.shard_id = shard_id
         self.respect_robots = respect_robots
         # production-scale mode (CrawlPipeline result_lists=False):
@@ -136,8 +146,7 @@ class FrontierShardState:
         self._robots_new: list[tuple[str, list[str], float]] = []
         self.records: dict[str, list] = {}
         self.heap: list[tuple] = []  # (neg_priority, attempt, url_hash) lazy-deleted
-        self.cuckoo = CuckooFilter(seen_capacity)
-        self.counters: Counter = Counter()
+        self.cuckoo = CuckooFilter(SEEN_CAPACITY)
         # domain → (rules, crawl-delay seconds); rules may carry
         # '!'-prefixed Allow entries and '*'/'$' wildcards (sources.robots)
         self.robots_cache: dict[str, tuple[list[str], float]] = {}
@@ -145,13 +154,9 @@ class FrontierShardState:
         # unreachable robots): served from cache until then, re-consulted
         # after, and never persisted as crawl state
         self._robots_expiry: dict[str, float] = {}
-        # distributed stored-membership (SURVEY.md ST4 / verdict r3 #1):
-        # NEW-vs-UPDATED page and SAVED-vs-DUP image decisions live on the
-        # shards, not the driver — the driver handles O(round) bools per
-        # round and the manifest stays constant-size in crawl length.
-        # Pages route like records (by domain, hot-salted); images route
-        # by hash64(image_id) — an independent distributed set.
-        self.stored_pages: set[str] = set()
+        # distributed stored-image set (SURVEY.md ST4): the SAVED-vs-DUP
+        # image decision lives on the shards, not the driver, routed by
+        # hash64(image_id)
         self.stored_images: set[str] = set()
 
     # ------------------------------------------------------------- insert
@@ -265,8 +270,6 @@ class FrontierShardState:
             discovered += 1
         if new_h64:
             self.cuckoo.add_many(np.asarray(new_h64, dtype=np.int64))
-        self.counters["DISCOVERED_URLS"] += discovered
-        self.counters["ROBOTS_DENIED_URLS"] += robots_denied
         return {
             "discovered": discovered,
             "robots_denied": robots_denied,
@@ -360,26 +363,20 @@ class FrontierShardState:
 
     # ---------------------------------------------- stored membership
 
-    def note_stored(self, page_hashes: list[str], image_ids: list[str]) -> dict:
-        """Record stored pages/images routed to this shard, returning
-        was-NEW flags in input order (the reference's NEW_SAVED vs
-        UPDATED_PAGES and SAVED_IMAGES vs DUP_IMAGE_REFS decisions,
-        WarcStorageManager.java:59-75 — distributed). Input order is the
-        round's store order, so within-call duplicates resolve exactly
-        like the sequential oracle."""
-        page_new = []
-        for h in page_hashes:
-            new = h not in self.stored_pages
-            if new:
-                self.stored_pages.add(h)
-            page_new.append(new)
+    def note_stored(self, image_ids: list[str]) -> dict:
+        """Record stored images routed to this shard, returning was-NEW
+        flags in input order (the reference's SAVED_IMAGES vs
+        DUP_IMAGE_REFS decision, WarcStorageManager.java:59-75 —
+        distributed). Input order is the round's store order, so
+        within-call duplicates resolve exactly like the sequential
+        oracle."""
         image_new = []
         for i in image_ids:
             new = i not in self.stored_images
             if new:
                 self.stored_images.add(i)
             image_new.append(new)
-        return {"page_new": page_new, "image_new": image_new}
+        return {"image_new": image_new}
 
     # -------------------------------------------------------------- round
 
@@ -392,7 +389,7 @@ class FrontierShardState:
 
           mark            url_hashes the driver selected from this shard
           complete        fetch outcome rows (see `complete`)
-          pages, images   stored page hashes / image ids, in store order
+          images          stored image ids, in store order
           cand, maybe_seen   this shard's rows of a `candidate_table` as
                           one Arrow IPC stream buffer (`rayutil.to_ipc`)
                           + their bloom verdicts
@@ -404,7 +401,7 @@ class FrontierShardState:
         self.mark_selected(msg.get("mark", ()))
         if "complete" in msg:
             self.complete(msg["complete"])
-        out = self.note_stored(msg.get("pages", ()), msg.get("images", ()))
+        out = self.note_stored(msg.get("images", ()))
         out.update(self.insert_candidates(from_ipc(msg["cand"]),
                                           msg.get("maybe_seen"))
                    if "cand" in msg else NO_INSERT)
@@ -429,13 +426,12 @@ class FrontierShardState:
         live crawl) through the live `insert_candidates` path (with the
         robots cache PRE-SEEDED from the persisted per-round entries, so
         denial re-applies from the ORIGINAL decisions, never the current
-        network), then updates filtered to owned records, then stored
-        membership from the crawl rounds' data-plane fragments. The
-        driver never materializes the frontier history; every shard
-        reads the shared delta files in parallel (read amplification
-        n_shards×, the shared-storage trade-off for zero driver
-        funneling) and does insert/update row WORK only on its own
-        partition."""
+        network), then updates filtered to owned records, then the stored
+        image set from the crawl rounds' `images` fragments. The driver
+        never materializes the frontier history; every shard reads the
+        shared delta files in parallel (read amplification n_shards×, the
+        shared-storage trade-off for zero driver funneling) and does
+        insert/update row WORK only on its own partition."""
         import os
 
         from ..sources.warc import IMPORT_ROUND
@@ -445,7 +441,7 @@ class FrontierShardState:
         # exactly (salted hot domains can hold different decisions per
         # shard); rows from other shards fill remaining gaps — needed
         # when the shard count changed and this shard now owns domains it
-        # never fetched (pre-shard-column checkpoints land here too)
+        # never fetched
         own: list[tuple] = []
         other: list[tuple] = []
         for _rnd, path in round_entries(os.path.join(ckpt_dir, "robots")):
@@ -453,8 +449,7 @@ class FrontierShardState:
             doms = t.column("domain").to_pylist()
             pref = t.column("prefixes").to_pylist()
             dls = [d / 1000.0 for d in t.column("delay_ms").to_pylist()]
-            sids = (t.column("shard").to_pylist()
-                    if "shard" in t.column_names else [None] * len(doms))
+            sids = t.column("shard").to_pylist()
             for row in zip(doms, pref, dls, sids):
                 (own if row[3] == self.shard_id else other).append(row[:3])
         for rows in (own, other):
@@ -474,29 +469,15 @@ class FrontierShardState:
             n_rows += len(mine)
         for _rnd, path in round_entries(
                 os.path.join(ckpt_dir, "frontier_updates")):
-            t = read_round(path)
-            rows = {
-                "url_hash": t.column("url_hash").to_pylist(),
-                "status": t.column("status").to_pylist(),
-                "error": t.column("error").to_pylist(),
-                "tags": t.column("tags").to_pylist(),
-                "attempt": t.column("attempt").to_pylist(),
-            }
+            rows = read_round(path, columns=list(UPDATE_COLUMNS)).to_pydict()
             keep = [i for i, h in enumerate(rows["url_hash"])
                     if h in self.records or h in self.terminal]
-            if not keep:
-                continue
-            self.complete({k: [v[i] for i in keep] for k, v in rows.items()})
-        # stored membership from the crawl's own rounds (WARC imports at
-        # IMPORT_ROUND were never stored by this crawl): pages are owned
-        # iff their record is (same routing); images route by
+            if keep:
+                self.complete({k: [v[i] for i in keep]
+                               for k, v in rows.items()})
+        # stored images from the crawl's own rounds (WARC imports at
+        # IMPORT_ROUND were never stored by this crawl), routed by
         # hash64(image_id) % n_shards
-        for _rnd, path in round_entries(os.path.join(ckpt_dir, "pages"),
-                                        after=IMPORT_ROUND):
-            t = read_round(path, columns=["url_hash"])
-            for h in t.column("url_hash").to_pylist():
-                if h in self.records or h in self.terminal:
-                    self.stored_pages.add(h)
         for _rnd, path in round_entries(os.path.join(ckpt_dir, "images"),
                                         after=IMPORT_ROUND):
             t = read_round(path, columns=["image_id"])
@@ -536,7 +517,6 @@ def make_frontier_actor():
     @ray.remote
     class FrontierShard:
         def __init__(self, shard_id: int, respect_robots: bool,
-                     seen_capacity: int = 1 << 16,
                      compact_terminal: bool = False,
                      robots_pool: list | None = None):
             # robots_pool: handles to the crawl's shared RobotsCacheActor
@@ -550,7 +530,7 @@ def make_frontier_actor():
 
                 fetcher = PooledRobotsFetcher(robots_pool)
             self.state = FrontierShardState(shard_id, respect_robots,
-                                            seen_capacity, fetcher,
+                                            fetcher,
                                             compact_terminal=compact_terminal)
 
         # per round: one read (select_candidates), one write (apply_round)

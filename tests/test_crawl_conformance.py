@@ -3,6 +3,7 @@ crawl order, final seen set, counters, stored pages/images — at any
 parallelism level (SURVEY.md §5.2, BASELINE.json north_rule)."""
 
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -100,7 +101,10 @@ def test_result_lists_off_scale_mode(ray_session, fix4):
         pages = pads.dataset(f"{ckpt}/pages", format="parquet").to_table(
             columns=["url_hash"])
         assert set(pages.column("url_hash").to_pylist()) == set(orc.stored_pages)
-        order = pads.dataset(f"{ckpt}/order", format="parquet").to_table()
+        # the update rows are the crawl order; no separate order table
+        assert not os.path.exists(f"{ckpt}/order")
+        order = pads.dataset(f"{ckpt}/frontier_updates",
+                             format="parquet").to_table()
         order = order.sort_by([("round", "ascending"), ("rank", "ascending")])
         assert order.column("url_hash").to_pylist() == orc.crawl_order
         # the checkpoint replays to the oracle's exact per-URL seen set:

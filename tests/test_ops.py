@@ -1985,6 +1985,17 @@ def test_dsir_importance_weights_enrichment(registry, ray_session):
     compare("dsir_importance_weights[planted]", df, sql, sf_dir=d)
 
 
+def test_dsir_importance_weights_overflow_guard(ray_session, monkeypatch):
+    """A weight is below DSIR_SCALE·(R + DSIR_BUCKETS) for R corpus
+    bigrams; when that bound leaves int64 the op raises instead of
+    letting the int64 `mat @ score` wrap."""
+    from dumb_crawler_ray.ops import filters
+
+    monkeypatch.setattr(filters, "DSIR_SCALE", 1 << 62)
+    with pytest.raises(OverflowError, match="beyond int64"):
+        filters.dsir_importance_weights(SF)
+
+
 def test_source_overlap_matrix_planted(registry, ray_session):
     """Two near-identical docs across sources A/B plus a copy pair inside
     source C land exactly one (A,B) and one (C,C) cell; the annotation

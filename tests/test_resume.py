@@ -338,7 +338,7 @@ def test_stop_request_drains_and_resumes_exactly(ray_session, fix4, tmp_path):
     flag = tmp_path / "stop.flag"
 
     def flip_after_first_commit():
-        order_dir = ckpt / "order"
+        order_dir = ckpt / "frontier_updates"
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             if order_dir.is_dir() and any(

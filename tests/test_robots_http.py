@@ -304,7 +304,8 @@ def test_robots_decisions_persist_across_restore(tmp_path):
          "prefixes": pa.array([e[1] for e in entries],
                               pa.list_(pa.string())),
          "delay_ms": pa.array([int(e[2] * 1000) for e in entries],
-                              pa.int64())}),
+                              pa.int64()),
+         "shard": pa.array([0] * len(entries), pa.int64())}),
         str(ckpt / "robots" / "round=-00001.parquet"))
     pq.write_table(pa.table(
         {"url": pa.array(urls, pa.string()),
