@@ -8,7 +8,9 @@ Per round r:
   2 FETCH    the selection is rank-sliced over a persistent FetchWorker
              actor pool created once per run, one slice per actor, each
              slice and each reply one Arrow IPC stream buffer —
-             render/validate/extract/tag/filter per page; page html +
+             render/validate/extract/tag/filter per page; a stored page's
+             images are validated as soon as its fetch returns, while the
+             slice's later fetches wait on the network; page html +
              validated image rows stream to per-round parquet fragments
              from inside the workers.
   3 APPLY    one message per shard: the rows to mark PROCESSING, their
@@ -794,12 +796,15 @@ class CrawlPipeline:
                 # a fresh crawl into a used directory starts clean: the
                 # manifest goes first (a crash mid-clean leaves nothing to
                 # resume), then every crawl round >= -1; WARC-imported
-                # pages (round IMPORT_ROUND) stay
+                # pages (round IMPORT_ROUND) stay; the `order/` table of a
+                # checkpoint written before its rows were folded into
+                # `frontier_updates` goes too
                 os.makedirs(self.ckpt_dir, exist_ok=True)
                 mpath = self._ckpt_path("manifest.json")
                 if os.path.exists(mpath):
                     os.remove(mpath)
                 self._ckpt_clean_uncommitted(IMPORT_ROUND)
+                shutil.rmtree(self._ckpt_path("order"), ignore_errors=True)
             # the seed phase commits under its OWN round id (-1) so a crash
             # mid-first-round can never leave uncommitted round-0 fragments
             # that the seed-only manifest would replay (_ckpt_clean_uncommitted

@@ -25,14 +25,16 @@ rows per round, workers stream the data plane straight to storage
 Reference parity: the whole CrawlingTaskCallable chain (schedule-time
 re-tag + re-filter J/DumbCrawler.java:276-279, render S3, blank check,
 validate M7, extract M6) plus the north-rule image validation
-(decoded-pixel PSNR/caption equality per stored row).
+(decoded-pixel PSNR/caption equality per stored row). As in the
+reference, where each task validates its page right after its fetch, a
+stored page's images are validated as soon as its outcome arrives, while
+the slice's later fetches are still waiting on the network.
 """
 
 from __future__ import annotations
 
 import os
 import uuid
-from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -275,7 +277,8 @@ class FetchWorker:
     def __call__(self, slice_ipc: bytes) -> bytes:
         """Process one IPC-encoded selection slice into one IPC-encoded
         table of outcomes whose `cand` column holds each page's kept
-        candidate links as `candidate_table` rows."""
+        candidate links as `candidate_table` rows. Each stored page's
+        images are validated as soon as its fetch returns (pass 1)."""
         batch = from_ipc(slice_ipc)
         urls = batch.column("url").to_pylist()
         ranks = batch.column("rank").to_pylist()
@@ -295,18 +298,18 @@ class FetchWorker:
             "tags": [list(t) for t in tags_list],
             "image_ids": [[] for _ in range(n)],
             "n_links_allowed": [0] * n, "n_links_ignored": [0] * n,
-            "too_many_links": [False] * n,
+            "too_many_links": [False] * n, "image_errors": [0] * n,
         }
         page_rows = []
         image_rows = []
         failed_rows = []
 
-        # pass 1: fetch + outcome (optionally overlapped across
-        # fetch_threads in-actor threads — RTT/network I/O releases the
-        # GIL; results are consumed in input-index order so outcomes are
-        # bit-identical at any thread count)
-        # driver-scheduled domain-GLOBAL politeness stamps (crawl.py
-        # _select)
+        # pass 1: fetch (overlapped across fetch_threads in-actor threads
+        # — RTT/network I/O releases the GIL) + outcome, consumed lazily in
+        # input-index order (bit-identical at any thread count); a stored
+        # page's images are loaded + validated in this calling thread (the
+        # shard cache needs no lock) while later fetches are in flight.
+        # not_before: driver-scheduled domain-GLOBAL politeness stamps
         not_before = batch.column("not_before_ts").to_pylist()
 
         def fetch_one(i: int):
@@ -334,12 +337,11 @@ class FetchWorker:
 
                 self._executor = ThreadPoolExecutor(
                     max_workers=self.fetch_threads)
-            fetched = list(self._executor.map(fetch_one, todo))
+            fetched = self._executor.map(fetch_one, todo)
         else:
-            fetched = [fetch_one(i) for i in todo]
+            fetched = (fetch_one(i) for i in todo)
 
         page_links: list[tuple[int, list[str]]] = []
-        stored: list[tuple[int, list[str], str]] = []  # (i, image_ids, html)
         for i, error, links, html, image_ids in fetched:
             if error is not None:
                 out["error"][i] = error
@@ -353,10 +355,25 @@ class FetchWorker:
             if len(links) > 300:  # reference warns at >300 (K2), no truncation
                 out["too_many_links"][i] = True
             page_links.append((i, links))
-            if self.comp.should_store(tags_list[i]):
-                out["store_ok"][i] = True
-                out["image_ids"][i] = image_ids
-                stored.append((i, image_ids, html))
+            if not self.comp.should_store(tags_list[i]):
+                continue
+            out["store_ok"][i] = True
+            out["image_ids"][i] = image_ids
+            page_rows.append(
+                {"url_hash": hashes[i], "url": urls[i], "tags": list(tags_list[i]),
+                 "html": html, "round": rnd, "rank": ranks[i]}
+            )
+            img_rows = self._image_rows_bulk(image_ids)
+            for iid in image_ids:
+                row = img_rows.get(iid)
+                if row is None:
+                    continue
+                verr = S.validate_image_row(row, self.seed)
+                out["image_errors"][i] += verr is not None
+                image_rows.append(
+                    {**row, "page_url_hash": hashes[i],
+                     "round": rnd, "rank": ranks[i], "validation_error": verr}
+                )
         # pass 2: ONE vectorized link analysis for the whole batch; the
         # kept links of every page, in (rank, link idx) order, become ONE
         # candidate table, carried per page as the reply's `cand` lists
@@ -394,26 +411,7 @@ class FetchWorker:
             pa.StructArray.from_arrays(
                 [c.combine_chunks() for c in cand.columns],
                 fields=list(cand.schema)))
-        # pass 3: grouped image loads + per-row payload validation
-        all_image_ids = [iid for _, iids, _ in stored for iid in iids]
-        img_rows = self._image_rows_bulk(all_image_ids) if all_image_ids else {}
-        for i, iids, html in stored:
-            page_rows.append(
-                {"url_hash": hashes[i], "url": urls[i], "tags": list(tags_list[i]),
-                 "html": html, "round": rnd, "rank": ranks[i]}
-            )
-            for iid in iids:
-                row = img_rows.get(iid)
-                if row is None:
-                    continue
-                verr = S.validate_image_row(row, self.seed)
-                image_rows.append(
-                    {**row, "page_url_hash": hashes[i],
-                     "round": rnd, "rank": ranks[i], "validation_error": verr}
-                )
         self._write_fragments(rnd, page_rows, image_rows, failed_rows)
-        n_bad = Counter(r["rank"] for r in image_rows if r["validation_error"])
-        out["image_errors"] = [n_bad[r] for r in ranks]
         return to_ipc(_to_arrow(out))
 
     def _write_fragments(self, rnd: int, page_rows, image_rows,

@@ -41,7 +41,13 @@ def _read_file(path: str, columns=None) -> pa.Table:
     # per file, and its first call in a fresh process imports
     # pyarrow.dataset (~0.3 CPU-s on a 1-vCPU VM) — on resume every new
     # shard would pay that before replaying a few hundred small files
+    # ParquetFile.read silently drops a requested column the file lacks, so
+    # a stale checkpoint layout would fail only at whatever touches the
+    # column first — check here and fail at the read
     with pq.ParquetFile(path) as f:
+        missing = [c for c in columns or () if c not in f.schema_arrow.names]
+        if missing:
+            raise ValueError(f"checkpoint file {path} lacks columns {missing}")
         return f.read(columns=columns)
 
 

@@ -4,6 +4,7 @@ must replay identically in round order."""
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from dumb_crawler_ray.state.ckptio import (read_round, remove_round,
                                            round_entries, round_of)
@@ -54,3 +55,18 @@ def test_round_entries_order_is_numeric_with_seed_round_first(tmp_path):
     for _, p in got:
         remove_round(p)
     assert round_entries(str(tmp_path)) == []
+
+
+def test_read_fails_on_a_missing_column_and_names_it(tmp_path):
+    # ParquetFile.read(columns=...) alone would return only the columns
+    # the file has; a checkpoint read must fail there, naming the file
+    single = tmp_path / "round=000001.parquet"
+    pq.write_table(_rows(3), single)
+    parts = tmp_path / "round=000002"
+    parts.mkdir()
+    pq.write_table(_rows(2), parts / "part-a.parquet")
+    for path, bad in ((single, single), (parts, parts / "part-a.parquet")):
+        with pytest.raises(ValueError) as ex:
+            read_round(str(path), columns=["url_hash", "rank"])
+        assert str(bad) in str(ex.value) and "'rank'" in str(ex.value)
+        assert "url_hash'" not in str(ex.value)

@@ -193,6 +193,37 @@ def test_fresh_run_into_used_ckpt_dir_starts_clean(ray_session, fix4,
     assert res.stored_pages == orc.stored_pages
 
 
+def test_pre_fold_checkpoint_fails_at_read_and_fresh_run_drops_order(
+        ray_session, fix4, tmp_path):
+    """A checkpoint written before the crawl order was folded into
+    `frontier_updates` (no `rank` column there, an `order/` table beside
+    it): a `result_lists=True` resume fails at the checkpoint read that
+    misses `rank`, a `result_lists=False` resume leaves `order/` as it
+    is, and a fresh run into the directory removes it."""
+    ckpt = tmp_path / "ckpt_prefold"
+
+    def crawl(**kw):
+        return CrawlPipeline(fix4, DEFAULT_CONFIG, seed=42, scale=4,
+                             n_shards=2, fetch_concurrency=2,
+                             ckpt_dir=str(ckpt), **kw)
+
+    crawl().run(max_rounds=2)
+    updates, order = ckpt / "frontier_updates", ckpt / "order"
+    order.mkdir()
+    for name in os.listdir(updates):
+        t = pq.read_table(updates / name)
+        pq.write_table(t.select(["rank", "url_hash"]), order / name)
+        pq.write_table(t.drop_columns(["rank"]), updates / name)
+    order_files = sorted(os.listdir(order))
+
+    with pytest.raises(ValueError, match=r"frontier_updates.*\['rank'\]"):
+        crawl(resume=True).run(max_rounds=1)
+    crawl(resume=True, result_lists=False).run(max_rounds=1)
+    assert sorted(os.listdir(order)) == order_files
+    crawl().run(max_rounds=1)
+    assert not order.exists()
+
+
 def test_resume_does_not_count_warc_imports_as_stored(ray_session, fix4,
                                                       tmp_path):
     """A WARC-imported page (round IMPORT_ROUND) that the crawl discovers
