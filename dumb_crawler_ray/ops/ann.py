@@ -620,14 +620,13 @@ def ann_index_export(sf_dir: str, out_dir: str | None = None,
 
     from .dedup import _md5_64_batch
     from .export import (DEFAULT_SHARDS, FP_MASK, _shard_of,
-                         export_sharded)
+                         default_out_dir, export_sharded)
 
     if n_shards is None:
         n_shards = DEFAULT_SHARDS
     if out_dir is None:
-        base = os.path.basename(os.path.abspath(sf_dir))
-        out_dir = (f"/tmp/dcr_ann_index/{base}_c{n_centroids}m{m_subs}"
-                   f"s{n_shards}")
+        out_dir = default_out_dir("dcr_ann_index", sf_dir,
+                                  f"c{n_centroids}m{m_subs}s{n_shards}")
     os.makedirs(out_dir, exist_ok=True)
     coarse, books, sub = _ivfpq_train(sf_dir, n_centroids, m_subs, pq_bits)
     tmp = os.path.join(out_dir, f"trained.npz.tmp.{os.getpid()}")

@@ -83,6 +83,19 @@ def _fingerprints(ids, content_digests) -> np.ndarray:
     return (_md5_64_batch(strs) & np.uint64(FP_MASK)).view(np.int64)
 
 
+def default_out_dir(kind: str, src: str, tag: str) -> str:
+    """``/tmp/<kind>/<basename>_<digest>_<tag>``: a sink's output
+    directory when the caller names none. The 8-hex digest of ``src``'s
+    absolute path keeps two sources that share a basename out of one
+    directory (and one manifest); ``tag`` names the artifact and its
+    shape."""
+    import hashlib
+
+    src = os.path.abspath(src.rstrip("/"))
+    digest = hashlib.md5(src.encode()).hexdigest()[:8]
+    return f"/tmp/{kind}/{os.path.basename(src)}_{digest}_{tag}"
+
+
 def _write_parquet_shard(tbl: pa.Table, path: str) -> None:
     pq.write_table(tbl, path, row_group_size=4096)
 
@@ -207,8 +220,7 @@ def export_corpus(sf_dir: str, out_dir: str | None = None,
     import ray
 
     if out_dir is None:
-        base = os.path.basename(os.path.abspath(sf_dir))
-        out_dir = f"/tmp/dcr_export/{base}_s{n_shards}"
+        out_dir = default_out_dir("dcr_export", sf_dir, f"s{n_shards}")
 
     def assign(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy()
@@ -251,9 +263,9 @@ def export_image_shards(images_parquet: str, out_dir: str | None = None,
     from .multimodal import caption_rule_columns, size_aspect_keep
 
     if out_dir is None:
-        base = os.path.basename(os.path.abspath(os.path.dirname(
-            images_parquet.rstrip("/"))))
-        out_dir = f"/tmp/dcr_release/images_{base}_s{n_shards}"
+        out_dir = default_out_dir(
+            "dcr_release", os.path.dirname(images_parquet.rstrip("/")),
+            f"images_s{n_shards}")
 
     def assign(t: pa.Table) -> pa.Table:
         w = t.column("w").to_numpy().astype(np.int64)
@@ -311,8 +323,7 @@ def compact_pages(ckpt_dir: str, out_dir: str | None = None,
     from .dedup import _md5_64_batch
 
     if out_dir is None:
-        base = os.path.basename(os.path.abspath(ckpt_dir))
-        out_dir = f"/tmp/dcr_compact/{base}_s{n_shards}"
+        out_dir = default_out_dir("dcr_compact", ckpt_dir, f"s{n_shards}")
 
     def assign(t: pa.Table) -> pa.Table:
         ids = t.column("url_hash").to_pylist()
@@ -369,9 +380,9 @@ def curated_image_release(images_parquet: str, out_dir: str | None = None,
     from .multimodal import image_curation_full
 
     if out_dir is None:
-        base = os.path.basename(os.path.abspath(os.path.dirname(
-            images_parquet.rstrip("/"))))
-        out_dir = f"/tmp/dcr_release/curated_images_{base}_s{n_shards}"
+        out_dir = default_out_dir(
+            "dcr_release", os.path.dirname(images_parquet.rstrip("/")),
+            f"curated_images_s{n_shards}")
 
     decision = image_curation_full(
         images_parquet, max_hamming=max_hamming
@@ -465,8 +476,8 @@ def curated_doc_release(sf_dir: str, out_dir: str | None = None,
     from .filters import doc_curation_full
 
     if out_dir is None:
-        base = os.path.basename(os.path.abspath(sf_dir))
-        out_dir = f"/tmp/dcr_release/curated_docs_{base}_s{n_shards}"
+        out_dir = default_out_dir("dcr_release", sf_dir,
+                                  f"curated_docs_s{n_shards}")
 
     decision = doc_curation_full(sf_dir).select_columns(
         ["doc_id", "keep"]).materialize()
@@ -542,8 +553,7 @@ def corpus_release(ckpt_dir: str, out_dir: str | None = None,
     from ..pipelines.curate import curate_corpus
 
     if out_dir is None:
-        base = os.path.basename(os.path.abspath(ckpt_dir))
-        out_dir = f"/tmp/dcr_release/{base}_s{n_shards}"
+        out_dir = default_out_dir("dcr_release", ckpt_dir, f"s{n_shards}")
 
     def assign(t: pa.Table) -> pa.Table:
         t = t.filter(t.column("quality_ok"))

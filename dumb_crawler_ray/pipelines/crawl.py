@@ -1,10 +1,12 @@
 """The BSP crawl round loop on Ray actors (SURVEY.md §3.4/§7).
 
 Per round r:
-  1 REFILL   every frontier shard peeks its top-k in the pinned total order
-             honoring the per-domain politeness cap; the driver merges and
+  1 REFILL   the driver merges the shards' latest offers — each shard's
+             top-k in the pinned total order honoring the per-domain
+             politeness cap, carried by the reply to its last call — and
              re-applies the cap globally (exactness for salted hot
-             domains). A picked row's owner is the shard that offered it.
+             domains); no remote call. A picked row's owner is the shard
+             that offered it.
   2 FETCH    the selection is rank-sliced over a persistent FetchWorker
              actor pool created once per run, one slice per actor, each
              slice and each reply one Arrow IPC stream buffer —
@@ -18,7 +20,9 @@ Per round r:
              (flattened in (rank, link_idx) order → first-occurrence per
              url_hash → bloom probe, whose negatives skip the exact lookup
              → hash-routed, IPC-encoded). Each shard applies its message
-             in ONE `apply_round` call, exact insert-if-absent included.
+             in ONE `apply_round` call, exact insert-if-absent included,
+             and replies with its next offer. A shard with no message
+             keeps its offer: nothing else changes a shard.
   4 COMMIT   counter/lineage deltas, frontier deltas (the round's
              `frontier_updates` rows, in rank order, are also its crawl
              order) and the robots entries the replies carried go to the
@@ -61,7 +65,8 @@ from ..sources.synthweb import domains_for
 from ..sources.warc import IMPORT_ROUND
 from ..rayutil import from_ipc, remote_kwargs, to_ipc
 from ..state.bloom import BloomFilter
-from ..state.frontier import candidate_table, make_frontier_actor
+from ..state.frontier import (OFFER_SCHEMA, candidate_table,
+                              make_frontier_actor)
 from ..stages.fetch import FetchWorker
 from . import semantics as S
 
@@ -72,15 +77,6 @@ def _groups(sids: np.ndarray):
     order = np.argsort(sids, kind="stable")
     ids, starts = np.unique(sids[order], return_index=True)
     return zip(ids.tolist(), np.split(order, starts[1:]))
-
-
-def _scatter(replies: dict, key: str, sids: np.ndarray) -> np.ndarray:
-    """Reassemble per-shard reply flags ``key`` into input order — the
-    inverse of routing rows into messages with `_groups`."""
-    out = np.zeros(len(sids), dtype=bool)
-    for sid, rep in replies.items():
-        out[sids == sid] = rep[key]
-    return out
 
 
 @dataclass
@@ -154,6 +150,9 @@ class CrawlPipeline:
         self.shards = None
         self._fetch_pool = None
         self.robots_pool = None
+        # each shard's latest offer (OFFER_SCHEMA), from the reply to its
+        # last apply_round / restore_from_ckpt; empty until it offers
+        self._offers = [OFFER_SCHEMA.empty_table()] * n_shards
         # owning shard of each selected row, by rank (set by _select)
         self._sel_shard = np.empty(0, dtype=np.int64)
         # (shard, robots entry) rows the round's apply_round replies
@@ -196,8 +195,11 @@ class CrawlPipeline:
                 RobotsActor.remote(robots_cfg)
                 for _ in range(max(1, self.n_shards // 8))
             ]
+        policy = (self.cfg.scheduler_batch_size,
+                  self.cfg.max_per_domain_per_round,
+                  self.cfg.max_attempt_count)
         self.shards = [
-            Actor.remote(i, self.cfg.respect_robots,
+            Actor.remote(i, self.cfg.respect_robots, policy,
                          robots_pool=self.robots_pool,
                          # production scale (no result lists): terminal
                          # records demote to packed status+attempt —
@@ -258,15 +260,17 @@ class CrawlPipeline:
         self._apply(msgs)
 
     def _apply(self, msgs: dict) -> dict:
-        """Send each shard its one `apply_round` message and fold the
-        frontier deltas into counters and lineage. Returns the replies by
-        shard id (the stored images' was-NEW flags live there)."""
+        """Send each shard its one `apply_round` message, keep each reply's
+        offer and fold the frontier deltas into counters and lineage.
+        Returns the replies by shard id (the stored images' was-NEW flags
+        live there)."""
         import ray
 
         sids = sorted(msgs)
         replies = dict(zip(sids, ray.get(
             [self.shards[sid].apply_round.remote(msgs[sid]) for sid in sids])))
         for sid, rep in replies.items():
+            self._offers[sid] = from_ipc(rep["offer"])
             self.counters["DISCOVERED_URLS"] += rep["discovered"]
             self.counters["ROBOTS_DENIED_URLS"] += rep["robots_denied"]
             self.stats["SEEN_EXACT_PROBES"] += rep["exact_probes"]
@@ -284,53 +288,37 @@ class CrawlPipeline:
     # ------------------------------------------------------------ rounds
 
     def _select(self) -> pa.Table | None:
-        import ray
-
+        """The round's selection, merged from the shards' latest offers
+        in the pinned total order (priority DESC, attempt ASC, url_hash
+        ASC — `S.selection_sort_key`; Arrow orders strings by UTF-8
+        bytes, which is code-point order) with the per-domain cap
+        re-applied, plus each row's politeness stamp."""
         k = self.cfg.scheduler_batch_size
         cap = self.cfg.max_per_domain_per_round
-        maxa = self.cfg.max_attempt_count
-        parts = ray.get(
-            [s.select_candidates.remote(k, cap, maxa) for s in self.shards]
-        )
-        url_hash = np.asarray(
-            [h for p in parts for h in p["url_hash"]], dtype=object
-        )
-        if len(url_hash) == 0:
+        offers = pa.concat_tables(self._offers)
+        if len(offers) == 0:
             return None
-        owner = np.repeat(np.arange(len(parts), dtype=np.int64),
-                          [len(p["url_hash"]) for p in parts])
-        url = [u for p in parts for u in p["url"]]
-        domain = [d for p in parts for d in p["domain"]]
-        priority = np.asarray(
-            [x for p in parts for x in p["priority"]], dtype=np.int64
-        )
-        attempt = np.asarray(
-            [x for p in parts for x in p["attempt"]], dtype=np.int64
-        )
-        delay_ms = np.asarray(
-            [x for p in parts for x in p["crawl_delay_ms"]], dtype=np.int64
-        )
-        # pinned total order (priority DESC, attempt ASC, url_hash ASC) —
-        # vectorized lexsort; matches S.selection_sort_key
-        order = np.lexsort((url_hash, attempt, -priority))
+        offers = offers.sort_by([("priority", "descending"),
+                                 ("attempt", "ascending"),
+                                 ("url_hash", "ascending")])
         if cap:
             taken_idx: list[int] = []
             per_domain: Counter = Counter()
-            for i in order:
+            for i, dom in enumerate(offers.column("domain").to_pylist()):
                 if len(taken_idx) >= k:
                     break
-                if per_domain[domain[i]] >= cap:
+                if per_domain[dom] >= cap:
                     continue
-                per_domain[domain[i]] += 1
-                taken_idx.append(int(i))
-            sel = np.asarray(taken_idx, dtype=np.int64)
+                per_domain[dom] += 1
+                taken_idx.append(i)
+            sel = offers.take(pa.array(taken_idx, pa.int64()))
         else:
-            sel = order[:k]
-        sel_hashes = url_hash[sel]
-        sel_domains = [domain[i] for i in sel]
+            sel = offers.slice(0, k)
+        sel_domains = sel.column("domain").to_pylist()
+        delay_ms = sel.column("crawl_delay_ms").to_numpy()
         # the owners get their picks marked PROCESSING in the round's one
-        # write (_harvest → _apply); nothing touches a shard before then
-        self._sel_shard = owner[sel]
+        # call (_harvest → _apply); nothing touches a shard before then
+        self._sel_shard = sel.column("shard").to_numpy()
         # domain-GLOBAL politeness schedule: one URL of a domain may start
         # per max(config delay, robots Crawl-delay), regardless of which
         # fetch actor the row lands on (chunks are rank-sliced, not
@@ -342,7 +330,7 @@ class CrawlPipeline:
         # CLOCK only, never crawl order (conformance-safe).
         import time as _time
 
-        sel_delay_s = np.maximum(delay_ms[sel] / 1000.0,
+        sel_delay_s = np.maximum(delay_ms / 1000.0,
                                  self.cfg.politeness_delay_ms / 1000.0)
         not_before = np.zeros(len(sel), dtype=np.float64)
         if (sel_delay_s > 0).any():
@@ -358,19 +346,13 @@ class CrawlPipeline:
                 t0 = max(now, nf.get(dom, 0.0))
                 not_before[j] = t0
                 nf[dom] = t0 + dly
-        return pa.table(
-            {
-                "rank": pa.array(range(len(sel)), pa.int64()),
-                "url_hash": pa.array(sel_hashes, pa.string()),
-                "url": pa.array([url[i] for i in sel], pa.string()),
-                "domain": pa.array(sel_domains, pa.string()),
-                "priority": pa.array(priority[sel], pa.int64()),
-                "attempt": pa.array(attempt[sel], pa.int64()),
-                "round": pa.array([self.round] * len(sel), pa.int64()),
-                "crawl_delay_ms": pa.array(delay_ms[sel], pa.int64()),
-                "not_before_ts": pa.array(not_before, pa.float64()),
-            }
-        )
+        n = len(sel)
+        return (sel.drop_columns(["shard"])
+                .add_column(0, "rank", pa.array(np.arange(n), pa.int64()))
+                .append_column("round", pa.array(np.full(n, self.round),
+                                                 pa.int64()))
+                .append_column("not_before_ts", pa.array(not_before,
+                                                         pa.float64())))
 
     def _images_shards(self):
         """Sharded image store (verdict r3 #3): ONE Ray task per row
@@ -537,8 +519,11 @@ class CrawlPipeline:
         replies = self._apply(msgs)
         if stored is None:
             return
+        # each shard's was-NEW flags back into flat image order
         flat_imgs, img_sids = stored
-        img_new = _scatter(replies, "image_new", img_sids)
+        img_new = np.zeros(len(img_sids), dtype=bool)
+        for sid, rep in replies.items():
+            img_new[img_sids == sid] = rep["image_new"]
         n_new_img = int(img_new.sum())
         self.counters["SAVED_IMAGES"] += n_new_img
         self.counters["DUP_IMAGE_REFS"] += len(flat_imgs) - n_new_img
@@ -613,7 +598,8 @@ class CrawlPipeline:
     def _ckpt_updates(self, fr: pa.Table, status, attempts):
         """The round's fetch outcomes, one row per schedule-allowed URL in
         rank order: each shard's `complete` rows on restore, and, sorted
-        by (round, rank), the crawl order."""
+        by (round, rank), the crawl order — and, where ``stored``, the
+        stored-page order (a page is stored at most once per crawl)."""
         if not self.ckpt_dir:
             return
         d = self._ckpt_path("frontier_updates")
@@ -626,6 +612,7 @@ class CrawlPipeline:
             "error": fr.column("error"),
             "tags": fr.column("tags"),
             "attempt": pa.array(attempts, pa.int64()),
+            "stored": fr.column("store_ok"),
         })
         pq.write_table(t, os.path.join(d, f"round={self.round:06d}.parquet"))
 
@@ -653,9 +640,9 @@ class CrawlPipeline:
         self._ckpt_robots()
         if not self.ckpt_dir:
             return
-        # O(1)-size manifest (counters + committed round only): crawl order
-        # and stored-page identity live in the per-round frontier_updates
-        # and pages/images tables; image membership lives on the frontier
+        # O(1)-size manifest (counters + committed round only): crawl and
+        # store order live in the per-round frontier_updates table, stored
+        # images in images/; image membership lives on the frontier
         # shards. A 10^8-page crawl commits the same few KB every round.
         manifest = {
             "round": self.round,
@@ -699,11 +686,13 @@ class CrawlPipeline:
         DISTRIBUTED: each frontier shard replays its own keyed partition
         of the delta files in parallel (`FrontierShardState
         .restore_from_ckpt` — inserts through the live path, so robots
-        denial and the pinned first-offer-wins rule re-apply exactly);
-        the driver rebuilds only its bloom (one compact hash64 array per
-        shard) and — when `result_lists` is on — the ordered result lists
-        from the frontier_updates/pages/images tables. Restore wall-time is
-        O(history / n_shards) per shard, flat in driver memory."""
+        denial and the pinned first-offer-wins rule re-apply exactly) and
+        replies with its first offer and its records' hash64; the driver
+        rebuilds only its bloom from those arrays and — when
+        `result_lists` is on — the ordered result lists from the
+        frontier_updates/images tables. One shard call each; restore
+        wall-time is O(history / n_shards) per shard, flat in driver
+        memory."""
         import ray
 
         mpath = self._ckpt_path("manifest.json")
@@ -715,14 +704,14 @@ class CrawlPipeline:
         self._ckpt_clean_uncommitted(committed)
         self.counters = Counter(manifest["counters"])
         self.round = committed + 1
-        ray.get([
+        replies = ray.get([
             s.restore_from_ckpt.remote(self.ckpt_dir, self.n_shards,
                                        self.hot_domains)
             for s in self.shards
         ])
-        for arr in ray.get([s.record_hash64.remote() for s in self.shards]):
-            if len(arr):
-                self.bloom.add_many(arr)
+        for sid, rep in enumerate(replies):
+            self._offers[sid] = from_ipc(rep["offer"])
+            self.bloom.add_many(rep["hash64"])
         if self.result_lists:
             self._restore_result_lists()
             self._n_fetched = len(self.crawl_order)
@@ -737,35 +726,32 @@ class CrawlPipeline:
     def _restore_result_lists(self):
         """Ordered crawl_order / stored_pages / stored_images for the
         CrawlResult contract, derived from the checkpoint tables (the
-        manifest carries none of them) of the crawl's own rounds — WARC
-        imports (IMPORT_ROUND) were never stored by this crawl. Store
-        order within a round is rank order; rows sharing a rank (one
-        page's images) live in one fragment, so a STABLE sort preserves
-        their intra-page order."""
+        manifest carries none of them). The `frontier_updates` rows in
+        (round, rank) order are the crawl order, and their ``stored``
+        rows the store order. Stored images come from the crawl's own
+        rounds — WARC imports (IMPORT_ROUND) were never stored by this
+        crawl; rows sharing a rank (one page's images) live in one
+        fragment, so a STABLE sort preserves their intra-page order."""
         from ..state.ckptio import read_round, round_entries
 
-        self.crawl_order = []
+        self.crawl_order, self.stored_pages = [], []
         for _rnd, path in round_entries(self._ckpt_path("frontier_updates")):
-            t = read_round(path, columns=["rank", "url_hash"]).sort_by("rank")
+            t = read_round(path, columns=["rank", "url_hash", "stored"]
+                           ).sort_by("rank")
             self.crawl_order.extend(t.column("url_hash").to_pylist())
-
-        def first_occurrence(base: str, col: str) -> list:
-            out: list = []
-            seen: set = set()
-            for _rnd, path in round_entries(base, after=IMPORT_ROUND):
-                t = read_round(path, columns=[col, "rank"])
-                order = np.argsort(t.column("rank").to_numpy(), kind="stable")
-                for v in np.asarray(t.column(col).to_pylist(),
-                                    dtype=object)[order]:
-                    if v not in seen:
-                        seen.add(v)
-                        out.append(v)
-            return out
-
-        self.stored_pages = first_occurrence(self._ckpt_path("pages"),
-                                             "url_hash")
-        self.stored_images = first_occurrence(self._ckpt_path("images"),
-                                              "image_id")
+            self.stored_pages.extend(
+                t.filter(t.column("stored")).column("url_hash").to_pylist())
+        self.stored_images = []
+        seen: set = set()
+        for _rnd, path in round_entries(self._ckpt_path("images"),
+                                        after=IMPORT_ROUND):
+            t = read_round(path, columns=["image_id", "rank"])
+            order = np.argsort(t.column("rank").to_numpy(), kind="stable")
+            for v in np.asarray(t.column("image_id").to_pylist(),
+                                dtype=object)[order]:
+                if v not in seen:
+                    seen.add(v)
+                    self.stored_images.append(v)
 
     # --------------------------------------------------------------- run
 

@@ -124,11 +124,6 @@ def parse_robots_full(text: str, user_agent: str) -> tuple[list[str], float]:
     return (merged, merged_delay) if matched else ([], 0.0)
 
 
-def parse_robots(text: str, user_agent: str) -> list[str]:
-    """Rules list only (see `parse_robots_full`)."""
-    return parse_robots_full(text, user_agent)[0]
-
-
 class RobotsFetcher:
     """Per-domain robots rules over an ``HttpWeb`` transport (injectable
     — tests pass an opener-mocked HttpWeb). Stateless: the frontier
@@ -136,9 +131,6 @@ class RobotsFetcher:
 
     def __init__(self, web: HttpWeb):
         self.web = web
-
-    def rules_for(self, domain: str, scheme: str = "http") -> list[str]:
-        return self.fetch_rules_full(domain, scheme)[0]
 
     def fetch_rules_full(self, domain: str,
                          scheme: str = "http") -> tuple[list[str], float, bool]:

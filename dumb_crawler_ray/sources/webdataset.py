@@ -73,14 +73,15 @@ def export_webdataset(images_parquet: str, out_dir: str | None = None,
     import ray
 
     from ..ops.export import (DEFAULT_SHARDS, _content_digests,
-                              _fingerprints, _shard_of, export_sharded)
+                              _fingerprints, _shard_of, default_out_dir,
+                              export_sharded)
 
     if n_shards is None:
         n_shards = DEFAULT_SHARDS
     if out_dir is None:
-        base = os.path.basename(os.path.abspath(os.path.dirname(
-            images_parquet.rstrip("/"))))
-        out_dir = f"/tmp/dcr_release/wds_{base}_s{n_shards}"
+        out_dir = default_out_dir(
+            "dcr_release", os.path.dirname(images_parquet.rstrip("/")),
+            f"wds_s{n_shards}")
 
     def assign(t: pa.Table) -> pa.Table:
         ids = t.column("image_id").to_pylist()

@@ -38,6 +38,9 @@ partition of the checkpoint's per-round deltas (`frontier_inserts`, then
 the `frontier_updates` rows of its records), then requeues PROCESSING
 orphans, mirroring the reference's orphan-reset resume
 (URLStore.java:54-58).
+
+A shard takes at most one call a round, `apply_round`, whose reply
+carries its next offer (the reference's `getUnvisited(k)` store call).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import pyarrow as pa
 
 from ..functions.urlhash import hash64_batch
 from ..pipelines import semantics as S
-from ..rayutil import from_ipc
+from ..rayutil import from_ipc, to_ipc
 from .cuckoo import CuckooFilter
 
 # record tuple indexes
@@ -82,6 +85,13 @@ CANDIDATE_SCHEMA = pa.schema([
     ("hash64", pa.int64()),
     ("shard", pa.int64()),
 ])
+
+
+# one shard's offer (`select_candidates`): its top-k eligible rows
+OFFER_SCHEMA = pa.schema(
+    [(c, pa.string()) for c in ("url_hash", "url", "domain")]
+    + [(c, pa.int64()) for c in ("priority", "attempt", "crawl_delay_ms",
+                                 "shard")])
 
 
 def candidate_table(url, url_hash, domain, tags, priority, n_shards: int,
@@ -121,9 +131,13 @@ class FrontierShardState:
     without a Ray runtime."""
 
     def __init__(self, shard_id: int, respect_robots: bool,
-                 robots_fetcher=None, compact_terminal: bool = False):
+                 robots_fetcher=None, compact_terminal: bool = False,
+                 policy: tuple[int, int, int] = (6, 0, 5)):
         self.shard_id = shard_id
         self.respect_robots = respect_robots
+        # the offer's `select_candidates` (k, per_domain_cap, max_attempt):
+        # the crawl's batch size, per-domain cap and max attempt count
+        self.policy = policy
         # production-scale mode (CrawlPipeline result_lists=False):
         # PROCESSED/FAILED records demote to url_hash → packed
         # (status<<32 | attempt) — terminal rows are never re-selected and
@@ -208,15 +222,6 @@ class FrontierShardState:
         out, self._robots_new = self._robots_new, []
         return out
 
-    def seed_robots(self, domains, prefixes, delays_s) -> None:
-        """Pre-seed the robots cache (restore path): first writer wins,
-        matching round replay order."""
-        for d, p, s in zip(domains, prefixes, delays_s):
-            self.robots_cache.setdefault(d, (list(p), float(s)))
-
-    def _robots(self, domain: str, url: str | None = None) -> list[str]:
-        return self._robots_entry(domain, url)[0]
-
     def insert_candidates(self, cand: pa.Table, maybe_seen=None) -> dict:
         """Insert-if-absent for a routed candidate batch.
 
@@ -259,7 +264,7 @@ class FrontierShardState:
             rec = [urls[i], domains[i], tags[i], priority[i], S.QUEUED, 0,
                    None]
             if self.respect_robots and S.robots_denied(
-                    rec[R_URL], self._robots(rec[R_DOMAIN], rec[R_URL])):
+                    urls[i], self._robots_entry(domains[i], urls[i])[0]):
                 rec[R_STATUS] = S.FAILED
                 rec[R_ERROR] = S.ROBOTS_ERROR
                 robots_denied += 1
@@ -278,12 +283,14 @@ class FrontierShardState:
 
     # ------------------------------------------------------------ select
 
-    def select_candidates(self, k: int, per_domain_cap: int, max_attempt: int) -> dict:
+    def select_candidates(self, k: int, per_domain_cap: int,
+                          max_attempt: int) -> pa.Table:
         """Peek this shard's top-k eligible rows in the pinned order,
-        honoring the per-domain cap locally. Does NOT change status — the
-        driver merges shards, re-applies the cap globally (for salted
-        domains) and sends the final picks as the ``mark`` part of the
-        round's ``apply_round`` message."""
+        honoring the per-domain cap locally, as an `OFFER_SCHEMA` table.
+        Does NOT change status — the driver merges the shards' offers,
+        re-applies the cap globally (for salted domains) and sends the
+        final picks as the ``mark`` part of the round's ``apply_round``
+        message."""
         taken: list[tuple] = []
         per_domain: Counter = Counter()
         popped: list[tuple] = []
@@ -308,7 +315,7 @@ class FrontierShardState:
         # push back everything valid we popped (still QUEUED until marked)
         for entry in popped:
             heapq.heappush(self.heap, entry)
-        return {
+        return pa.table({
             "url_hash": [h for h, _ in taken],
             "url": [r[R_URL] for _, r in taken],
             "domain": [r[R_DOMAIN] for _, r in taken],
@@ -323,7 +330,8 @@ class FrontierShardState:
                 int(self.robots_cache.get(r[R_DOMAIN], (None, 0.0))[1] * 1000)
                 for _, r in taken
             ],
-        }
+            "shard": [self.shard_id] * len(taken),
+        }, schema=OFFER_SCHEMA)
 
     def mark_selected(self, url_hashes: list[str]) -> None:
         for h in url_hashes:
@@ -381,11 +389,12 @@ class FrontierShardState:
     # -------------------------------------------------------------- round
 
     def apply_round(self, msg: dict) -> dict:
-        """The round's one write to this shard, in the reference's harvest
+        """The round's one call to this shard, in the reference's harvest
         order (J/DumbCrawler.java:81-126): mark the selected rows
         PROCESSING, `complete` the fetched ones, `note_stored`, then
-        `insert_candidates`, and hand back the robots entries cached
-        since the last call. Every key of ``msg`` is optional:
+        `insert_candidates`, hand back the robots entries cached since
+        the last call, and peek the next offer. Every key of ``msg`` is
+        optional:
 
           mark            url_hashes the driver selected from this shard
           complete        fetch outcome rows (see `complete`)
@@ -394,10 +403,11 @@ class FrontierShardState:
                           one Arrow IPC stream buffer (`rayutil.to_ipc`)
                           + their bloom verdicts
 
-        Exact because nothing touches a shard between its
-        `select_candidates` peek and this call. Returns the `note_stored`
-        flags, the `insert_candidates` deltas (zero without ``cand``) and
-        ``robots``."""
+        Exact because nothing touches a shard between the peek that ended
+        its previous call and this one. Returns the `note_stored` flags,
+        the `insert_candidates` deltas (zero without ``cand``),
+        ``robots`` and ``offer``: `select_candidates` under ``policy`` as
+        one Arrow IPC stream buffer."""
         self.mark_selected(msg.get("mark", ()))
         if "complete" in msg:
             self.complete(msg["complete"])
@@ -406,19 +416,21 @@ class FrontierShardState:
                                           msg.get("maybe_seen"))
                    if "cand" in msg else NO_INSERT)
         out["robots"] = self.drain_robots_entries()
+        out["offer"] = to_ipc(self.select_candidates(*self.policy))
         return out
 
     # ------------------------------------------------------- restore
 
     def record_hash64(self) -> np.ndarray:
         """hash64 of every record key — the driver rebuilds its global
-        bloom from these (one compact int64 array per shard) instead of
-        re-reading the insert history."""
+        bloom from these (one compact int64 array per shard, in the
+        `restore_from_ckpt` reply) instead of re-reading the insert
+        history."""
         hs = list(self.records.keys()) + list(self.terminal.keys())
         return hash64_batch(hs) if hs else np.empty(0, dtype=np.int64)
 
     def restore_from_ckpt(self, ckpt_dir: str, n_shards: int,
-                          hot_domains: frozenset) -> int:
+                          hot_domains: frozenset) -> dict:
         """Distributed resume: THIS shard replays its own keyed partition
         of the checkpoint's delta files — inserts in round order (each
         round rebuilt by `candidate_table` at the CURRENT shard count,
@@ -431,7 +443,9 @@ class FrontierShardState:
         never materializes the frontier history; every shard reads the
         shared delta files in parallel (read amplification n_shards×, the
         shared-storage trade-off for zero driver funneling) and does
-        insert/update row WORK only on its own partition."""
+        insert/update row WORK only on its own partition. Returns the
+        shard's first ``offer`` (as `apply_round`) and its records'
+        ``hash64`` (`record_hash64`) for the driver's bloom."""
         import os
 
         from ..sources.warc import IMPORT_ROUND
@@ -441,7 +455,7 @@ class FrontierShardState:
         # exactly (salted hot domains can hold different decisions per
         # shard); rows from other shards fill remaining gaps — needed
         # when the shard count changed and this shard now owns domains it
-        # never fetched
+        # never fetched; first writer wins, matching round replay order
         own: list[tuple] = []
         other: list[tuple] = []
         for _rnd, path in round_entries(os.path.join(ckpt_dir, "robots")):
@@ -453,10 +467,9 @@ class FrontierShardState:
             for row in zip(doms, pref, dls, sids):
                 (own if row[3] == self.shard_id else other).append(row[:3])
         for rows in (own, other):
-            if rows:
-                self.seed_robots(*(list(c) for c in zip(*rows)))
+            for d, p, s in rows:
+                self.robots_cache.setdefault(d, (list(p), float(s)))
 
-        n_rows = 0
         for _rnd, path in round_entries(
                 os.path.join(ckpt_dir, "frontier_inserts")):
             t = read_round(path)
@@ -466,7 +479,6 @@ class FrontierShardState:
             mine = cand.filter(pa.array(
                 cand.column("shard").to_numpy() == self.shard_id))
             self.insert_candidates(mine)
-            n_rows += len(mine)
         for _rnd, path in round_entries(
                 os.path.join(ckpt_dir, "frontier_updates")):
             rows = read_round(path, columns=list(UPDATE_COLUMNS)).to_pydict()
@@ -486,7 +498,8 @@ class FrontierShardState:
                 own = image_shard_of_batch(ids, n_shards) == self.shard_id
                 self.stored_images.update(ids[own].tolist())
         self.requeue_orphans()
-        return n_rows
+        return {"offer": to_ipc(self.select_candidates(*self.policy)),
+                "hash64": self.record_hash64()}
 
     # ------------------------------------------------------ observability
 
@@ -517,6 +530,7 @@ def make_frontier_actor():
     @ray.remote
     class FrontierShard:
         def __init__(self, shard_id: int, respect_robots: bool,
+                     policy: tuple[int, int, int],
                      compact_terminal: bool = False,
                      robots_pool: list | None = None):
             # robots_pool: handles to the crawl's shared RobotsCacheActor
@@ -531,17 +545,12 @@ def make_frontier_actor():
                 fetcher = PooledRobotsFetcher(robots_pool)
             self.state = FrontierShardState(shard_id, respect_robots,
                                             fetcher,
-                                            compact_terminal=compact_terminal)
+                                            compact_terminal=compact_terminal,
+                                            policy=policy)
 
-        # per round: one read (select_candidates), one write (apply_round)
-        def select_candidates(self, k, per_domain_cap, max_attempt):
-            return self.state.select_candidates(k, per_domain_cap, max_attempt)
-
+        # per round: one call, whose reply carries the next offer
         def apply_round(self, msg):
             return self.state.apply_round(msg)
-
-        def record_hash64(self):
-            return self.state.record_hash64()
 
         def restore_from_ckpt(self, ckpt_dir, n_shards, hot_domains):
             return self.state.restore_from_ckpt(ckpt_dir, n_shards,

@@ -447,33 +447,60 @@ class _CountingPipeline(CrawlPipeline):
 def counted_crawl(ray_session, fix4):
     """One full crawl through counting shard and fetch handles."""
     pipe = _CountingPipeline(fix4, DEFAULT_CONFIG, seed=42, scale=4,
-                             n_shards=4, fetch_concurrency=3)
+                             n_shards=8, fetch_concurrency=3)
     return pipe, pipe.run()
 
 
-def test_one_read_one_write_per_shard_per_round(counted_crawl):
-    """Per round each frontier shard gets exactly one select_candidates
-    and at most one apply_round, and each fetch actor at most one call;
-    the seed phase (round -1) is one apply_round per shard at most. The
-    crawl still matches the oracle."""
+def test_one_call_per_shard_per_round(counted_crawl):
+    """Per round each frontier shard gets at most one call, `apply_round`,
+    whose reply carries its next offer, and each fetch actor at most one
+    call; the seed phase (round -1) is one apply_round per shard at most.
+    Some (round, shard) pair gets no call, so a carried-over offer was
+    selected from. The crawl still matches the oracle."""
     from collections import Counter
 
     pipe, res = counted_crawl
     assert_match(res, oracle.simulate(DEFAULT_CONFIG, SynthWeb.generate(42, 4)))
     n = Counter(pipe.calls)
     assert {m for _, _, m in pipe.calls} == {
-        "select_candidates", "apply_round", "__call__", "seen_entries"}
-    for i in range(4):
-        assert n[(-1, ("shard", i), "select_candidates")] == 0
-        assert n[(-1, ("shard", i), "apply_round")] <= 1
-        for r in range(res.rounds + 1):  # + the final, empty select
-            assert n[(r, ("shard", i), "select_candidates")] == 1
+        "apply_round", "__call__", "seen_entries"}
+    for r in range(-1, res.rounds):
+        for i in range(pipe.n_shards):
             assert n[(r, ("shard", i), "apply_round")] <= 1
+    assert not any(r == res.rounds and m != "seen_entries"
+                   for r, _, m in pipe.calls)  # the final select is local
+    assert any(n[(r, ("shard", i), "apply_round")] == 0
+               for r in range(res.rounds) for i in range(pipe.n_shards))
     fetches = Counter(r for r, _, m in pipe.calls if m == "__call__")
     assert sorted(fetches) == list(range(res.rounds))
     assert max(n.get((r, ("fetch", j), "__call__"), 0)
                for r in range(res.rounds) for j in range(3)) == 1
     assert max(fetches.values()) == 3  # full rounds use every actor
+
+
+def test_resume_is_one_restore_call_per_shard(ray_session, fix4, tmp_path):
+    """A resume makes one `restore_from_ckpt` call per shard and no other
+    shard call before its first round; the restore replies' offers and
+    hash64 arrays are all the driver needs to go on exactly."""
+    from collections import Counter
+
+    kw = dict(seed=42, scale=4, n_shards=4, fetch_concurrency=2,
+              ckpt_dir=str(tmp_path / "ckpt"))
+    CrawlPipeline(fix4, DEFAULT_CONFIG, **kw).run(max_rounds=3)
+    pipe = _CountingPipeline(fix4, DEFAULT_CONFIG, resume=True, **kw)
+    res = pipe.run()
+    assert_match(res, oracle.simulate(DEFAULT_CONFIG, SynthWeb.generate(42, 4)))
+    shard_calls = [(r, who, m) for r, who, m in pipe.calls
+                   if who[0] == "shard"]
+    first = shard_calls[:4]
+    assert sorted(who for _, who, _ in first) == [("shard", i)
+                                                  for i in range(4)]
+    assert {m for _, _, m in first} == {"restore_from_ckpt"}
+    assert Counter(m for _, _, m in shard_calls)["restore_from_ckpt"] == 4
+    assert {m for _, _, m in shard_calls} == {
+        "restore_from_ckpt", "apply_round", "seen_entries"}
+    n = Counter(shard_calls)
+    assert max(v for (r, _, m), v in n.items() if m == "apply_round") == 1
 
 
 def _plain(v) -> bool:

@@ -179,6 +179,45 @@ def test_export_corpus_roundtrip_and_resume(ray_session, tmp_path):
     assert len(m4) == 4 and m4["n_docs"].sum() == 500
 
 
+def test_default_out_dir_keys_on_the_source_path(tmp_path):
+    """A sink's default output directory: the same source path always
+    gives the same directory, and one basename under two parents gives
+    two."""
+    from dumb_crawler_ray.ops.export import default_out_dir
+
+    a, b = str(tmp_path / "a" / "corpus"), str(tmp_path / "b" / "corpus")
+    d = default_out_dir("dcr_export", a, "s4")
+    assert d == default_out_dir("dcr_export", a + "/", "s4")
+    assert d != default_out_dir("dcr_export", b, "s4")
+    assert d.startswith("/tmp/dcr_export/corpus_") and d.endswith("_s4")
+
+
+def test_default_export_dirs_do_not_collide(ray_session, tmp_path):
+    """`export_corpus` with no out_dir, run on two copies of one corpus
+    that share a basename, writes two directories with a manifest each."""
+    import os
+    import shutil
+
+    from dumb_crawler_ray.ops import export
+
+    srcs = []
+    for parent in ("a", "b"):
+        d = tmp_path / parent / "corpus"
+        d.mkdir(parents=True)
+        shutil.copy(f"{SF}/documents.parquet", d)
+        srcs.append(str(d))
+    outs = [export.default_out_dir("dcr_export", s, "s2") for s in srcs]
+    try:
+        for s in srcs:
+            export.export_corpus(s, n_shards=2)
+        assert outs[0] != outs[1]
+        for o in outs:
+            assert os.path.exists(os.path.join(o, "manifest.json"))
+    finally:
+        for o in outs:
+            shutil.rmtree(o, ignore_errors=True)
+
+
 def test_export_image_shards_roundtrip_and_resume(ray_session, tmp_path):
     """The multimodal sink: shards re-read to exactly the GATED subset of
     the image table (size/aspect + caption rules), a second run skips

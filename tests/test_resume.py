@@ -141,6 +141,31 @@ def test_resume_after_crash_mid_first_round(ray_session, fix4, tmp_path):
     assert res.stored_pages == orc.stored_pages
 
 
+def test_resume_without_pages_dir(ray_session, fix4, tmp_path):
+    """A resume derives crawl_order and stored_pages from
+    `frontier_updates` alone: with the checkpoint's `pages/` deleted
+    after the stop, the resumed crawl still gives the oracle's stored
+    pages, crawl order and counters."""
+    import shutil
+
+    orc = oracle.simulate(DEFAULT_CONFIG, SynthWeb.generate(42, 4))
+    ckpt = tmp_path / "ckpt_nopages"
+
+    def crawl(**kw):
+        return CrawlPipeline(fix4, DEFAULT_CONFIG, seed=42, scale=4,
+                             n_shards=4, fetch_concurrency=2,
+                             ckpt_dir=str(ckpt), **kw)
+
+    stopped = crawl().run(max_rounds=3)
+    assert stopped.stored_pages
+    shutil.rmtree(ckpt / "pages")
+    res = crawl(resume=True).run()
+    assert res.stored_pages == orc.stored_pages
+    assert res.crawl_order == orc.crawl_order
+    assert res.counters == orc.counters
+    assert res.seen_set == orc.seen_set
+
+
 def test_fresh_run_into_used_ckpt_dir_starts_clean(ray_session, fix4,
                                                    tmp_path):
     """A run without resume into a directory an earlier crawl used leaves

@@ -9,7 +9,7 @@ import urllib.error
 import pytest
 
 from dumb_crawler_ray.sources.httpweb import HttpWeb
-from dumb_crawler_ray.sources.robots import RobotsFetcher, parse_robots
+from dumb_crawler_ray.sources.robots import RobotsFetcher, parse_robots_full
 from dumb_crawler_ray.state.frontier import FrontierShardState
 
 
@@ -36,12 +36,12 @@ DCR_RULES = ["/private/", "/tmp/", "!/private/ok", "/star*/"]
 def test_parse_group_selection_and_prefixes():
     # longest matching agent token wins; Allow carries the '!' sentinel,
     # wildcard rules are kept verbatim, empty Disallow is skipped
-    assert parse_robots(ROBOTS, "dcr-bot/1.0") == DCR_RULES
-    assert parse_robots(ROBOTS, "Mozilla/5.0") == ["/all/"]
-    assert parse_robots(ROBOTS, "Googlebot/2.1") == ["/google-only/"]
-    assert parse_robots("", "dcr-bot") == []
+    assert parse_robots_full(ROBOTS, "dcr-bot/1.0")[0] == DCR_RULES
+    assert parse_robots_full(ROBOTS, "Mozilla/5.0")[0] == ["/all/"]
+    assert parse_robots_full(ROBOTS, "Googlebot/2.1")[0] == ["/google-only/"]
+    assert parse_robots_full("", "dcr-bot")[0] == []
     # multiple UA lines share one record
-    assert parse_robots(ROBOTS, "otherbot") == DCR_RULES
+    assert parse_robots_full(ROBOTS, "otherbot")[0] == DCR_RULES
 
 
 def test_star_groups_merge_and_delay_max():
@@ -126,10 +126,10 @@ def test_status_ladder():
             "http://err.test/robots.txt", 503, "boom", None, None),
         "http://dead.test/robots.txt": OSError("connection refused"),
     })
-    assert f.rules_for("ok.test") == DCR_RULES
-    assert f.rules_for("gone.test") == []          # 4xx → allow all
-    assert f.rules_for("err.test") == ["/"]        # 5xx → complete disallow
-    assert f.rules_for("dead.test") == []          # unreachable → allow
+    assert f.fetch_rules_full("ok.test")[0] == DCR_RULES
+    assert f.fetch_rules_full("gone.test")[0] == []          # 4xx → allow all
+    assert f.fetch_rules_full("err.test")[0] == ["/"]        # 5xx → complete disallow
+    assert f.fetch_rules_full("dead.test")[0] == []          # unreachable → allow
     # transience: 5xx and transport failure are TEMPORARY verdicts,
     # 200/4xx are permanent
     assert f.fetch_rules_full("ok.test")[2] is False
@@ -224,7 +224,7 @@ def test_crawl_delay_parsing_and_plumbing():
                                              opener=opener)))
     _insert(st, ["http://slow.test/a", "http://slow.test/b"])
     sel = st.select_candidates(10, 0, 5)
-    assert sel["crawl_delay_ms"] == [250, 250]
+    assert sel["crawl_delay_ms"].to_pylist() == [250, 250]
 
 
 def test_fetch_worker_paces_robots_crawl_delay(ray_session, tmp_path):
@@ -233,9 +233,6 @@ def test_fetch_worker_paces_robots_crawl_delay(ray_session, tmp_path):
     same-domain rows (crawl_delay_ms = 150) at least 150 ms apart, and the
     fetch worker waits for each row's not_before_ts."""
     import time
-    from types import SimpleNamespace
-
-    import ray
 
     from dumb_crawler_ray.pipelines.crawl import CrawlPipeline
     from dumb_crawler_ray.rayutil import from_ipc, to_ipc
@@ -249,9 +246,8 @@ def test_fetch_worker_paces_robots_crawl_delay(ray_session, tmp_path):
     fix = str(write_fixture(tmp_path / "fx", seed=42, scale=1))
     w = FetchWorker(fix, DEFAULT_CONFIG, seed=42, scale=1)
     pipe = CrawlPipeline(fix, DEFAULT_CONFIG, seed=42, scale=1, n_shards=1)
-    # the shard answers in-process, through the object store like the actor
-    pipe.shards = [SimpleNamespace(select_candidates=SimpleNamespace(
-        remote=lambda *a: ray.put(st.select_candidates(*a))))]
+    # the shard's offer, as its apply_round reply carries it
+    pipe._offers = [from_ipc(st.apply_round({})["offer"])]
     sel = pipe._select()
     assert sel.column("crawl_delay_ms").to_pylist() == [150, 150]
     t0, t1 = sel.column("not_before_ts").to_pylist()

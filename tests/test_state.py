@@ -71,13 +71,13 @@ def test_frontier_shard_insert_select_complete():
     assert d["discovered"] == 3
     # pinned order: priority DESC, attempt ASC, url_hash ASC
     sel = st.select_candidates(k=10, per_domain_cap=0, max_attempt=3)
-    assert sel["url_hash"] == ["h2", "h3", "h1"]
+    assert sel["url_hash"].to_pylist() == ["h2", "h3", "h1"]
     # per-domain cap: only one `a` in the first pass
     sel2 = st.select_candidates(k=10, per_domain_cap=1, max_attempt=3)
-    assert sel2["url_hash"] == ["h2", "h3"]
+    assert sel2["url_hash"].to_pylist() == ["h2", "h3"]
     st.mark_selected(["h2"])
     sel3 = st.select_candidates(k=10, per_domain_cap=0, max_attempt=3)
-    assert sel3["url_hash"] == ["h3", "h1"]  # h2 now PROCESSING
+    assert sel3["url_hash"].to_pylist() == ["h3", "h1"]  # h2 now PROCESSING
     st.complete({"url_hash": ["h2"], "status": [S.PROCESSED], "error": [None],
                  "tags": [["x"]], "attempt": [1]})
     assert st.seen_entries()["h2"] == (S.PROCESSED, 1, None, "x", 9)
@@ -93,11 +93,11 @@ def test_frontier_orphan_requeue_and_snapshot():
     st.mark_selected(["h1"])
     # PROCESSING rows are not selectable (their heap entry is dropped)
     assert st.select_candidates(k=5, per_domain_cap=0,
-                                max_attempt=3)["url_hash"] == ["h2"]
+                                max_attempt=3)["url_hash"].to_pylist() == ["h2"]
     assert st.requeue_orphans() == 1
     assert st.seen_entries()["h1"][0] == S.QUEUED
     sel = st.select_candidates(k=5, per_domain_cap=0, max_attempt=3)
-    assert sel["url_hash"] == ["h1", "h2"]
+    assert sel["url_hash"].to_pylist() == ["h1", "h2"]
     assert st.requeue_orphans() == 0  # nothing left PROCESSING
 
 
@@ -113,7 +113,7 @@ def test_frontier_max_attempt_filter():
 
     heapq.heappush(st.heap, (-5, 3, "h1"))
     sel = st.select_candidates(k=5, per_domain_cap=0, max_attempt=3)
-    assert sel["url_hash"] == []
+    assert sel["url_hash"].to_pylist() == []
 
 
 def test_compact_terminal_mode_equivalence():
@@ -147,8 +147,8 @@ def test_compact_terminal_mode_equivalence():
     assert sorted(comp.record_hash64().tolist()) == \
         sorted(full.record_hash64().tolist())
     # selection identical (terminal rows never re-selected in either mode)
-    assert comp.select_candidates(10, 0, 3)["url_hash"] == \
-        full.select_candidates(10, 0, 3)["url_hash"]
+    assert comp.select_candidates(10, 0, 3)["url_hash"].to_pylist() == \
+        full.select_candidates(10, 0, 3)["url_hash"].to_pylist()
     # full-detail views are refused rather than silently partial
     import pytest as _pytest
 
@@ -266,10 +266,11 @@ def _round_shard(compact):
 
 @pytest.mark.parametrize("compact", [False, True])
 def test_apply_round_equals_sequential_calls(compact):
-    """apply_round(msg) is the five per-round shard calls in their order —
+    """apply_round(msg) is the six per-round shard steps in their order —
     mark_selected → complete → note_stored → insert_candidates →
-    drain_robots_entries: identical records, heap, cuckoo, stored-image
-    set and reply, with and without compact_terminal."""
+    drain_robots_entries → select_candidates (the offer): identical
+    records, heap, cuckoo, stored-image set and reply, with and without
+    compact_terminal."""
     seq, one = _round_shard(compact), _round_shard(compact)
     msg = _round_msg()
     seq.mark_selected(msg["mark"])
@@ -278,6 +279,7 @@ def test_apply_round_equals_sequential_calls(compact):
     want.update(seq.insert_candidates(from_ipc(msg["cand"]),
                                       msg["maybe_seen"]))
     want["robots"] = seq.drain_robots_entries()
+    want["offer"] = to_ipc(seq.select_candidates(*seq.policy))
     got = one.apply_round(_round_msg())
     assert got == want
     assert got["image_new"] == [False, True, False]
@@ -290,10 +292,11 @@ def test_apply_round_equals_sequential_calls(compact):
     assert np.array_equal(one.cuckoo.table, seq.cuckoo.table)
     assert (one.cuckoo.overflow, one.cuckoo.count) == \
         (seq.cuckoo.overflow, seq.cuckoo.count)
-    # an empty message is a no-op write
+    assert from_ipc(got["offer"])["url_hash"].to_pylist() == ["h0", "h9"]
+    # an empty message is a no-op write that re-sends the same offer
     assert one.apply_round({}) == {"image_new": [], "discovered": 0,
                                    "robots_denied": 0, "exact_probes": 0,
-                                   "robots": []}
+                                   "robots": [], "offer": got["offer"]}
 
 
 @pytest.mark.parametrize("compact", [False, True])
@@ -319,16 +322,54 @@ def test_updates_round_restores_like_apply_round(tmp_path, compact):
     pipe.round = 0
     fr = pa.table({"rank": pa.array([0, 1], pa.int64()),
                    "url_hash": c["url_hash"], "error": c["error"],
-                   "tags": pa.array(c["tags"], pa.list_(pa.string()))})
+                   "tags": pa.array(c["tags"], pa.list_(pa.string())),
+                   "store_ok": [True, False]})
     pipe._ckpt_updates(fr, np.asarray(c["status"]), np.asarray(c["attempt"]))
     [(rnd, path)] = round_entries(str(ckpt / "frontier_updates"))
     t = read_round(path)
     assert rnd == 0 and t.column("round").to_pylist() == [0, 0]
     assert t.column("rank").to_pylist() == [0, 1]
     assert t.select(list(UPDATE_COLUMNS)).to_pydict() == c
+    assert t.column("stored").to_pylist() == [True, False]
 
     restored = FrontierShardState(0, respect_robots=True,
                                   compact_terminal=compact)
     restored.restore_from_ckpt(str(ckpt), 1, frozenset())
     for a in ("records", "terminal", "heap"):
         assert getattr(restored, a) == getattr(live, a), a
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_replies_carry_a_fresh_offer(tmp_path, compact):
+    """The offer in each reply to `apply_round` (a round's message and
+    `{}`) and to `restore_from_ckpt` is exactly a fresh `select_candidates`
+    under the shard's policy on the state the call left, tagged with the
+    shard id; the restore reply's ``hash64`` is `record_hash64`."""
+    from dumb_crawler_ray.pipelines.crawl import CrawlPipeline
+    from dumb_crawler_ray.sources.synthweb import DEFAULT_CONFIG
+
+    def fresh(st):
+        return st.select_candidates(*st.policy)
+
+    st = FrontierShardState(3, respect_robots=True, compact_terminal=compact,
+                            policy=(2, 1, 5))
+    st.insert_candidates(_round_seed())
+    for msg in (_round_msg(), {}, {"mark": ["h0"]}):
+        offer = from_ipc(st.apply_round(msg)["offer"])
+        assert offer.equals(fresh(st))
+        assert set(offer["shard"].to_pylist()) <= {3}
+    assert len(offer) == 1  # per-domain cap 1
+
+    ckpt = tmp_path / "ckpt"
+    pipe = CrawlPipeline(str(tmp_path), DEFAULT_CONFIG, n_shards=1,
+                         ckpt_dir=str(ckpt))
+    pipe.round = -1
+    pipe._ckpt_frontier_inserts(_round_seed())
+    restored = FrontierShardState(0, respect_robots=True,
+                                  compact_terminal=compact, policy=(3, 0, 5))
+    rep = restored.restore_from_ckpt(str(ckpt), 1, frozenset())
+    assert set(rep) == {"offer", "hash64"}
+    assert from_ipc(rep["offer"]).equals(fresh(restored))
+    assert from_ipc(rep["offer"])["url_hash"].to_pylist() == ["h0", "h1",
+                                                              "h2"]
+    assert np.array_equal(rep["hash64"], restored.record_hash64())
