@@ -65,8 +65,7 @@ from ..sources.synthweb import domains_for
 from ..sources.warc import IMPORT_ROUND
 from ..rayutil import from_ipc, remote_kwargs, to_ipc
 from ..state.bloom import BloomFilter
-from ..state.frontier import (OFFER_SCHEMA, candidate_table,
-                              make_frontier_actor)
+from ..state.frontier import candidate_table, make_frontier_actor
 from ..stages.fetch import FetchWorker
 from . import semantics as S
 
@@ -150,9 +149,10 @@ class CrawlPipeline:
         self.shards = None
         self._fetch_pool = None
         self.robots_pool = None
-        # each shard's latest offer (OFFER_SCHEMA), from the reply to its
-        # last apply_round / restore_from_ckpt; empty until it offers
-        self._offers = [OFFER_SCHEMA.empty_table()] * n_shards
+        # shard id → its latest offer (OFFER_SCHEMA), from the reply to its
+        # last apply_round / restore_from_ckpt; the seed round and the
+        # restore call every shard, so every shard has one before round 0
+        self._offers: dict[int, pa.Table] = {}
         # owning shard of each selected row, by rank (set by _select)
         self._sel_shard = np.empty(0, dtype=np.int64)
         # (shard, robots entry) rows the round's apply_round replies
@@ -246,11 +246,13 @@ class CrawlPipeline:
         self._ckpt_frontier_inserts(cand)
 
     def inject_seeds(self):
+        """The seed round: one `apply_round` per shard, `{}` for a shard
+        with no seed row, so every shard's first call (and its one-time
+        Arrow start-up) overlaps the fetch pool's construction, and every
+        offer comes from a reply."""
         seeds = self.cfg.seeds
-        if not seeds:
-            return
         tags_list, prio, hashes, _a, _na, _ni = self.comp.analyze_urls(seeds)
-        msgs: dict[int, dict] = {}
+        msgs: dict[int, dict] = {sid: {} for sid in range(self.n_shards)}
         self._insert_candidates(
             candidate_table(seeds, hashes,
                             [self.comp.domain_of(u) for u in seeds],
@@ -295,7 +297,7 @@ class CrawlPipeline:
         re-applied, plus each row's politeness stamp."""
         k = self.cfg.scheduler_batch_size
         cap = self.cfg.max_per_domain_per_round
-        offers = pa.concat_tables(self._offers)
+        offers = pa.concat_tables(list(self._offers.values()))
         if len(offers) == 0:
             return None
         offers = offers.sort_by([("priority", "descending"),
@@ -354,31 +356,6 @@ class CrawlPipeline:
                 .append_column("not_before_ts", pa.array(not_before,
                                                          pa.float64())))
 
-    def _images_shards(self):
-        """Sharded image store (verdict r3 #3): ONE Ray task per row
-        group reads the bytes IN A WORKER — the driver touches only the
-        parquet footers (id min/max stats) and holds the task return
-        refs. Every fetch actor then lazily maps just the shards its
-        pages reference, zero-copy from plasma, instead of indexing the
-        whole corpus per actor. Returns [(ref, lo_id, hi_id)] or None
-        when no local image table exists (http mode)."""
-        import ray
-
-        if getattr(self, "_images_shards_cache", None) is None:
-            from ..stages.fetch import (_image_store_paths,
-                                        _rowgroup_entries,
-                                        load_image_rowgroup)
-
-            paths = _image_store_paths(self.fixture_dir)
-            if not paths:
-                return None
-            loader = ray.remote(load_image_rowgroup).options(**remote_kwargs())
-            self._images_shards_cache = [
-                (loader.remote(p, rg), lo, hi)
-                for (p, rg, lo, hi) in _rowgroup_entries(paths)
-            ]
-        return self._images_shards_cache
-
     def _worker_kwargs(self) -> dict:
         return {
             "fixture_dir": self.fixture_dir,
@@ -388,7 +365,6 @@ class CrawlPipeline:
             "ckpt_dir": self.ckpt_dir,
             "fetch_delay_s": self.fetch_delay_s,
             "fetch_threads": self.fetch_threads,
-            "images_shards": self._images_shards(),
             "proxy_api_key": os.environ.get("ROCKETSCRAPE_API_KEY"),
             "n_shards": self.n_shards,
             "hot_domains": self.hot_domains,
@@ -703,6 +679,10 @@ class CrawlPipeline:
         committed = manifest["round"]
         self._ckpt_clean_uncommitted(committed)
         self.counters = Counter(manifest["counters"])
+        # every schedule-allowed fetch adds 1 to exactly one of these
+        self._n_fetched = sum(v for k, v in self.counters.items()
+                              if k == "PROCESSED_URLS"
+                              or k.startswith("ERROR_"))
         self.round = committed + 1
         replies = ray.get([
             s.restore_from_ckpt.remote(self.ckpt_dir, self.n_shards,
@@ -714,13 +694,6 @@ class CrawlPipeline:
             self.bloom.add_many(rep["hash64"])
         if self.result_lists:
             self._restore_result_lists()
-            self._n_fetched = len(self.crawl_order)
-        else:
-            from ..state.ckptio import read_round, round_entries
-
-            self._n_fetched = sum(
-                read_round(p, columns=["url_hash"]).num_rows
-                for _, p in round_entries(self._ckpt_path("frontier_updates")))
         return True
 
     def _restore_result_lists(self):

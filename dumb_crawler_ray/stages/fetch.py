@@ -92,7 +92,7 @@ IMAGES_SCHEMA = pa.schema(
 
 def _rowgroup_entries(paths: list[str]) -> list[tuple]:
     """(path, rg, lo, hi) per row group from parquet FOOTER metadata only
-    — the image_id min/max column statistics. O(files) driver/actor work,
+    — the image_id min/max column statistics. O(files) work,
     no data pages touched."""
     out = []
     for p in paths:
@@ -126,25 +126,24 @@ def _image_store_paths(fixture_dir: str) -> list[str]:
 # what the crawl actually consumes from the image store: validation
 # (image_id/bytes/caption) + the stored-image fragment row (IMAGES_SCHEMA
 # payload columns). The test fixture carries 14 additional stored-pact
-# columns for the registry oracles — a store read that shipped those into
-# every broadcast shard would pay object-store space and per-row as_py()
-# conversion for columns the crawl never looks at.
+# columns for the registry oracles — a row-group read that kept those
+# would pay actor memory and per-row as_py() conversion for columns the
+# crawl never looks at.
 IMAGE_STORE_COLUMNS = ["image_id", "bytes", "w", "h", "fmt", "caption",
                        "phash"]
 
-# per-actor cap on materialized image shards (LRU), sized so a bench- or
-# scaling-scale store (hundreds of shards) never thrashes: an actor whose
-# pages reference the whole corpus holds one id->row index over it
-# (tables stay zero-copy in plasma; the cache holds only index dicts +
-# column handles)
+# per-actor cap on materialized image row groups (oldest read evicted
+# first), sized so a bench- or scaling-scale store (hundreds of row
+# groups) never thrashes: an actor whose pages reference the whole corpus
+# holds every row group it touched (column arrays + one id->row index
+# each) in its own heap
 IMG_SHARD_CACHE_MAX = 4096
 
 
 def load_image_rowgroup(path: str, rg: int) -> pa.Table:
-    """Shard loader for the distributed image store — runs as a Ray task
-    (the DRIVER never reads image bytes; workers read their shard and the
-    task's return ref IS the broadcast handle). Column-pruned: only the
-    payload columns the crawl consumes leave storage."""
+    """One row group of the image store, read by the fetch actor that
+    needs it (the driver never reads image bytes). Column-pruned: only
+    the payload columns the crawl consumes leave storage."""
     f = pq.ParquetFile(path)
     cols = [c for c in IMAGE_STORE_COLUMNS if c in f.schema_arrow.names]
     return f.read_row_group(rg, columns=cols)
@@ -153,7 +152,7 @@ def load_image_rowgroup(path: str, rg: int) -> pa.Table:
 class FetchWorker:
     def __init__(self, fixture_dir: str, config_raw: dict, seed: int, scale: int,
                  ckpt_dir: str | None = None, fetch_delay_s: float = 0.0,
-                 images_shards=None, proxy_api_key: str | None = None,
+                 proxy_api_key: str | None = None,
                  fetch_threads: int = 1, n_shards: int = 1,
                  hot_domains: frozenset = frozenset()):
         # n_shards/hot_domains: frontier routing for `candidate_table` —
@@ -178,21 +177,18 @@ class FetchWorker:
                     os.path.join(fixture_dir, "pages.parquet")) as f:
                 pages = f.read()
             self.web = SynthWeb(pages, seed, scale)
-        # SHARDED image store (verdict r3 #3): ``images_shards`` is a list
-        # of range-pruned shard descriptors (ObjectRef, lo, hi) — the
-        # pipeline pre-loads row groups via Ray tasks (workers read, the
-        # driver holds only refs) with the image_id min/max from parquet
-        # FOOTER stats; None when there is no local image store. Per-actor
-        # setup is O(shards) metadata, NEVER an O(corpus) id scan; an
-        # actor materializes + indexes (zero-copy from plasma) only the
-        # shards its pages actually reference, with an LRU on the index
-        # dicts.
-        entries = list(images_shards or [])
-        with_stats = sorted((e for e in entries if e[1] is not None),
-                            key=lambda e: e[1])
-        self._img_shards = with_stats + [e for e in entries if e[1] is None]
-        self._img_los = [e[1] for e in with_stats]
-        self._img_his = [e[2] for e in with_stats]
+        # SHARDED image store: one (path, rg, lo, hi) entry per row group
+        # of the fixture's images.parquet, with the image_id min/max from
+        # the parquet FOOTER stats (no data pages read); empty when there
+        # is no local image store. Per-actor setup is O(row groups)
+        # metadata, NEVER an O(corpus) id scan; an actor reads + indexes
+        # only the row groups its pages actually reference (`_shard`).
+        entries = _rowgroup_entries(_image_store_paths(fixture_dir))
+        with_stats = sorted((e for e in entries if e[2] is not None),
+                            key=lambda e: e[2])
+        self._img_shards = with_stats + [e for e in entries if e[2] is None]
+        self._img_los = [e[2] for e in with_stats]
+        self._img_his = [e[3] for e in with_stats]
         runmax: list[str] = []
         for h in self._img_his:
             runmax.append(h if not runmax or h > runmax[-1] else runmax[-1])
@@ -214,27 +210,23 @@ class FetchWorker:
         self._executor = None
         self.round = -1  # set via batch column
 
-    def _cache_shard_table(self, j: int, tbl: pa.Table) -> dict:
-        entry = {
-            "cols": {c: tbl.column(c) for c in tbl.column_names},
-            "index": {iid: i for i, iid in enumerate(
-                tbl.column("image_id").to_pylist())},
-        }
-        if len(self._shard_cache) >= IMG_SHARD_CACHE_MAX:
-            self._shard_cache.pop(next(iter(self._shard_cache)))
-        self._shard_cache[j] = entry
+    def _shard(self, j: int) -> dict:
+        """Row group `j`'s columns + id -> row index, read and indexed in
+        this process on first use (no table crosses a Ray call), at most
+        IMG_SHARD_CACHE_MAX kept (oldest evicted first)."""
+        entry = self._shard_cache.get(j)
+        if entry is None:
+            path, rg = self._img_shards[j][:2]
+            tbl = load_image_rowgroup(path, rg)
+            entry = {
+                "cols": {c: tbl.column(c) for c in tbl.column_names},
+                "index": {iid: i for i, iid in enumerate(
+                    tbl.column("image_id").to_pylist())},
+            }
+            if len(self._shard_cache) >= IMG_SHARD_CACHE_MAX:
+                self._shard_cache.pop(next(iter(self._shard_cache)))
+            self._shard_cache[j] = entry
         return entry
-
-    def _load_shards(self, js: list[int]) -> None:
-        """Materialize + index the listed shards (once per actor,
-        LRU-capped) in ONE batched zero-copy `ray.get`."""
-        import ray
-
-        missing = [j for j in js if j not in self._shard_cache]
-        if missing:
-            for j, tbl in zip(missing, ray.get([self._img_shards[j][0]
-                                                for j in missing])):
-                self._cache_shard_table(j, tbl)
 
     def _candidate_shards(self, iid: str):
         """Interval stabbing over the sorted (lo, hi) shard ranges: with
@@ -258,13 +250,9 @@ class FetchWorker:
         for iid in set(ids):
             for j in self._candidate_shards(iid):
                 by_shard.setdefault(j, []).append(iid)
-        self._load_shards(list(by_shard))
         out: dict[str, dict] = {}
         for j, members in sorted(by_shard.items()):
-            entry = self._shard_cache.get(j)
-            if entry is None:  # evicted within this bulk (cap < working set)
-                self._load_shards([j])
-                entry = self._shard_cache[j]
+            entry = self._shard(j)
             cols, index = entry["cols"], entry["index"]
             for iid in members:
                 if iid in out:

@@ -454,7 +454,8 @@ def counted_crawl(ray_session, fix4):
 def test_one_call_per_shard_per_round(counted_crawl):
     """Per round each frontier shard gets at most one call, `apply_round`,
     whose reply carries its next offer, and each fetch actor at most one
-    call; the seed phase (round -1) is one apply_round per shard at most.
+    call; the seed phase (round -1) is exactly one apply_round per shard,
+    seed rows or not, so no shard's first call lands in a crawl round.
     Some (round, shard) pair gets no call, so a carried-over offer was
     selected from. The crawl still matches the oracle."""
     from collections import Counter
@@ -464,7 +465,10 @@ def test_one_call_per_shard_per_round(counted_crawl):
     n = Counter(pipe.calls)
     assert {m for _, _, m in pipe.calls} == {
         "apply_round", "__call__", "seen_entries"}
-    for r in range(-1, res.rounds):
+    assert [n[(-1, ("shard", i), "apply_round")]
+            for i in range(pipe.n_shards)] == [1] * pipe.n_shards
+    assert len(DEFAULT_CONFIG["seeds"]) < pipe.n_shards  # some got {}
+    for r in range(res.rounds):
         for i in range(pipe.n_shards):
             assert n[(r, ("shard", i), "apply_round")] <= 1
     assert not any(r == res.rounds and m != "seen_entries"
@@ -476,6 +480,43 @@ def test_one_call_per_shard_per_round(counted_crawl):
     assert max(n.get((r, ("fetch", j), "__call__"), 0)
                for r in range(res.rounds) for j in range(3)) == 1
     assert max(fetches.values()) == 3  # full rounds use every actor
+
+
+def test_seedless_crawl_still_calls_every_shard_in_the_seed_round(
+        ray_session, fix4):
+    """With no seeds every shard still gets its seed-round `apply_round`
+    (`{}`); their empty offers drain the crawl before round 0 fetches."""
+    pipe = _CountingPipeline(fix4, {**DEFAULT_CONFIG, "seeds": []}, seed=42,
+                             scale=4, n_shards=2, fetch_concurrency=1)
+    res = pipe.run()
+    assert res.n_fetched == 0 and res.crawl_order == []
+    assert [c for c in pipe.calls if c[2] != "seen_entries"] == [
+        (-1, ("shard", 0), "apply_round"), (-1, ("shard", 1), "apply_round")]
+
+
+def test_crawl_actors_never_load_ray_data(ray_session, fix4):
+    """No Arrow table crosses a crawl actor call — a fetch actor reads its
+    own image row groups — so no shard or fetch actor ever loads
+    `ray.data` (Ray's Arrow deserializer imports it, ~0.25 s a process).
+    Checked after a crawl that stores images, before the actors end."""
+    import sys
+
+    import ray
+
+    pipe = CrawlPipeline(fix4, DEFAULT_CONFIG, seed=42, scale=4, n_shards=4,
+                         fetch_concurrency=2)
+    try:
+        pipe._start_shards()
+        pipe._start_fetch_pool()
+        res = pipe._crawl(None)
+        assert res.crawl_order and res.stored_images
+        loaded = ray.get([
+            a.__ray_call__.remote(lambda _self: "ray.data" in sys.modules)
+            for a in pipe.shards + pipe._fetch_pool])
+        assert loaded == [False] * 6
+    finally:
+        for a in (pipe.shards or []) + (pipe._fetch_pool or []):
+            ray.kill(a)
 
 
 def test_resume_is_one_restore_call_per_shard(ray_session, fix4, tmp_path):

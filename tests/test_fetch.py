@@ -1,10 +1,12 @@
 """FetchWorker outcomes: the reply and the page/image fragments do not
-depend on the in-actor fetch thread count, and a stored image that fails
-the payload invariant is counted once per stored-page reference without
-touching the crawl order or the seen set."""
+depend on the in-actor fetch thread count, a worker reads each image row
+group it needs once, and a stored image that fails the payload invariant
+is counted once per stored-page reference without touching the crawl
+order or the seen set."""
 
 import os
 import shutil
+from collections import Counter
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -16,9 +18,8 @@ from dumb_crawler_ray.pipelines import semantics as S
 from dumb_crawler_ray.pipelines.crawl import CrawlPipeline
 from dumb_crawler_ray.rayutil import from_ipc, to_ipc
 from dumb_crawler_ray.sources.synthweb import DEFAULT_CONFIG, SynthWeb
-from dumb_crawler_ray.stages.fetch import (FetchWorker, _image_store_paths,
-                                           _rowgroup_entries,
-                                           load_image_rowgroup)
+from dumb_crawler_ray.stages import fetch as F
+from dumb_crawler_ray.stages.fetch import FetchWorker, _image_store_paths
 
 
 def _fragment_rows(ckpt, sub):
@@ -31,31 +32,31 @@ def _fragment_rows(ckpt, sub):
     return pa.concat_tables(tables).to_pylist()
 
 
-def test_fetch_output_does_not_depend_on_thread_count(ray_session,
-                                                      small_fixture_dir,
-                                                      tmp_path):
-    import ray
-
-    fix = small_fixture_dir
+def _selection(fix):
+    """Every page of the fixture as one round-0 selection table."""
     with pq.ParquetFile(os.path.join(fix, "pages.parquet")) as f:
         urls = f.read(columns=["url"]).column("url").to_pylist()
     comp = S.CrawlComponents(JobConfig(DEFAULT_CONFIG))
     n = len(urls)
-    sel = to_ipc(pa.table({
+    return pa.table({
         "rank": pa.array(range(n), pa.int64()),
         "url_hash": pa.array(comp.analyze_urls(urls)[2], pa.string()),
         "url": pa.array(urls, pa.string()),
         "domain": pa.array([comp.domain_of(u) for u in urls]),
         "attempt": pa.array([0] * n, pa.int64()),
         "round": pa.array([0] * n, pa.int64()),
-        "not_before_ts": pa.array([0.0] * n, pa.float64())}))
-    shards = [(ray.put(load_image_rowgroup(p, rg)), lo, hi)
-              for p, rg, lo, hi in _rowgroup_entries(_image_store_paths(fix))]
+        "not_before_ts": pa.array([0.0] * n, pa.float64())})
+
+
+def test_fetch_output_does_not_depend_on_thread_count(small_fixture_dir,
+                                                      tmp_path):
+    fix = small_fixture_dir
+    sel = to_ipc(_selection(fix))
 
     def run(threads):
         ckpt = str(tmp_path / f"t{threads}")
         w = FetchWorker(fix, DEFAULT_CONFIG, seed=42, scale=1, ckpt_dir=ckpt,
-                        images_shards=shards, fetch_threads=threads)
+                        fetch_threads=threads)
         return from_ipc(w(sel)), ckpt
 
     serial, ckpt1 = run(1)
@@ -66,6 +67,39 @@ def test_fetch_output_does_not_depend_on_thread_count(ray_session,
     for sub in ("pages", "images", "pages_failed"):
         rows = _fragment_rows(ckpt1, sub)
         assert rows and rows == _fragment_rows(ckpt4, sub)
+
+
+def test_worker_reads_each_image_row_group_once(small_fixture_dir,
+                                                tmp_path, monkeypatch):
+    """A FetchWorker built from the fixture directory alone reads the
+    image row groups its stored pages reference itself, each once per
+    worker however many calls touch it, and finds every stored image
+    there."""
+    reads: list = []
+    load = F.load_image_rowgroup
+    monkeypatch.setattr(F, "load_image_rowgroup", lambda path, rg: (
+        reads.append((k, path, rg)) or load(path, rg)))
+    sel = _selection(small_fixture_dir)
+    half = len(sel) // 2
+    for k in range(2):  # two workers, three calls each
+        ckpt = str(tmp_path / f"w{k}")
+        worker = FetchWorker(small_fixture_dir, DEFAULT_CONFIG, seed=42,
+                             scale=1, ckpt_dir=ckpt, fetch_threads=4)
+        n_refs = 0
+        for rnd, part in enumerate((sel.slice(0, half), sel.slice(half),
+                                    sel)):
+            part = part.set_column(5, "round", pa.array(
+                [rnd] * len(part), pa.int64()))
+            out = from_ipc(worker(to_ipc(part)))
+            n_refs += pc.sum(pc.list_value_length(
+                out.filter(out.column("store_ok")).column("image_ids"))
+            ).as_py()
+        rows = _fragment_rows(ckpt, "images")
+        assert n_refs and len(rows) == n_refs
+        assert all(r["validation_error"] is None for r in rows)
+    per_worker = Counter(reads)
+    assert set(per_worker.values()) == {1}
+    assert {w for w, _, _ in per_worker} == {0, 1}
 
 
 def test_image_validation_errors_are_counted(ray_session, small_fixture_dir,

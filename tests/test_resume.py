@@ -141,6 +141,33 @@ def test_resume_after_crash_mid_first_round(ray_session, fix4, tmp_path):
     assert res.stored_pages == orc.stored_pages
 
 
+@pytest.mark.parametrize("result_lists", [True, False])
+def test_resume_counts_fetches_from_the_manifest(ray_session, fix4, tmp_path,
+                                                 monkeypatch, result_lists):
+    """A stopped-and-resumed crawl reports the oracle's fetch count, failed
+    fetches included: the restore takes it from the manifest counters
+    (each schedule-allowed fetch counts once in PROCESSED_URLS or one
+    ERROR_<code>), so a result_lists=False resume reads no
+    `frontier_updates` file on the driver."""
+    from dumb_crawler_ray.state import ckptio
+
+    orc = oracle.simulate(DEFAULT_CONFIG, SynthWeb.generate(42, 4))
+    assert any(k.startswith("ERROR_") for k in orc.counters)
+    kw = dict(seed=42, scale=4, n_shards=4, fetch_concurrency=2,
+              ckpt_dir=str(tmp_path / "ckpt"), result_lists=result_lists)
+    first = CrawlPipeline(fix4, DEFAULT_CONFIG, **kw).run(max_rounds=3)
+    assert 0 < first.n_fetched < len(orc.crawl_order)
+    read = ckptio.read_round
+    driver_reads = []
+    monkeypatch.setattr(ckptio, "read_round", lambda path, **k: (
+        driver_reads.append(path) or read(path, **k)))
+    res = CrawlPipeline(fix4, DEFAULT_CONFIG, resume=True, **kw).run()
+    assert res.n_fetched == len(orc.crawl_order)
+    assert res.counters == orc.counters
+    if not result_lists:
+        assert driver_reads == []
+
+
 def test_resume_without_pages_dir(ray_session, fix4, tmp_path):
     """A resume derives crawl_order and stored_pages from
     `frontier_updates` alone: with the checkpoint's `pages/` deleted

@@ -247,7 +247,7 @@ def test_fetch_worker_paces_robots_crawl_delay(ray_session, tmp_path):
     w = FetchWorker(fix, DEFAULT_CONFIG, seed=42, scale=1)
     pipe = CrawlPipeline(fix, DEFAULT_CONFIG, seed=42, scale=1, n_shards=1)
     # the shard's offer, as its apply_round reply carries it
-    pipe._offers = [from_ipc(st.apply_round({})["offer"])]
+    pipe._offers = {0: from_ipc(st.apply_round({})["offer"])}
     sel = pipe._select()
     assert sel.column("crawl_delay_ms").to_pylist() == [150, 150]
     t0, t1 = sel.column("not_before_ts").to_pylist()
